@@ -234,7 +234,8 @@ class BFSEngine:
         if not 0 <= root < graph.num_vertices:
             raise GraphError(f"root {root} out of range")
         np_ranks = self.mapping.num_ranks
-        states = [RankState(lg) for lg in self._locals]
+        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+        states = [RankState(lg, parent[lg.lo:lg.hi]) for lg in self._locals]
         counts = RunCounts(
             num_vertices=graph.num_vertices, num_ranks=np_ranks
         )
@@ -323,7 +324,7 @@ class BFSEngine:
                     ):
                         if direction == Direction.TOP_DOWN:
                             frontier_lists = self._top_down_level(
-                                states, frontier_lists, lc
+                                states, parent, frontier_lists, lc
                             )
                         else:
                             frontier_lists = self._bottom_up_level(
@@ -365,14 +366,11 @@ class BFSEngine:
                         last_ckpt_level = level
                         continue
 
-            counts.visited_vertices = sum(st.visited_count() for st in states)
+            reached = parent >= 0
+            counts.visited_vertices = int(np.count_nonzero(reached))
             counts.traversed_edges = (
-                sum(
-                    int(st.degrees[st.parent >= 0].sum()) for st in states
-                )
-                // 2
+                int(self.prepared.degrees[reached].sum()) // 2
             )
-            parent = np.concatenate([st.parent for st in states])
             with tr.span("bfs.price", cat="pricing"), hp.phase("price"):
                 timing = assemble(
                     counts, self.comm, self.config, self.sizes, self.constants
@@ -618,48 +616,40 @@ class BFSEngine:
     def _top_down_level(
         self,
         states: list[RankState],
+        parent: np.ndarray,
         frontier_lists: list[np.ndarray],
         lc: LevelCounts,
     ) -> list[np.ndarray]:
-        np_ranks = self.mapping.num_ranks
+        bounds = self.partition.bounds
         tr = self.tracer
         hp = self.hostprof
         with tr.span("phase.td_expand", cat="phase"), hp.phase("td_expand"):
-            sends = [
-                topdown.expand(
-                    states[r], frontier_lists[r], self.partition,
-                    tracer=tr, rank=r, backend=self.kernel,
-                )
-                for r in range(np_ranks)
-            ]
-        lc.examined_edges = np.array(
-            [s.examined_edges for s in sends], dtype=np.int64
-        )
-        lc.candidates = np.zeros(np_ranks, dtype=np.int64)
-        lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-        send_matrix = [
-            [s.outbox[j].reshape(-1) for j in range(np_ranks)] for s in sends
-        ]
-        lc.td_send_bytes = np.array(
-            [
-                [send_matrix[i][j].nbytes for j in range(np_ranks)]
-                for i in range(np_ranks)
-            ],
-            dtype=np.int64,
-        )
+            frontier = np.concatenate(
+                [lst + bounds[r] for r, lst in enumerate(frontier_lists)]
+            )
+            out = topdown.expand(
+                self.graph, self.partition, frontier, [frontier.size],
+                tracer=tr,
+            )
+        out.record(0, lc)
         with tr.span("phase.td_exchange", cat="phase"), hp.phase(
             "td_exchange"
         ):
             res = self._exchange(
                 "alltoallv", lc.level,
-                lambda: self.comm.alltoallv(send_matrix),
+                lambda: self.comm.alltoallv(out.pairs, out.counts),
             )
         with tr.span("phase.td_apply", cat="phase"), hp.phase("td_apply"):
+            found = topdown.apply_received(
+                parent[None], [0], *res.data, self.prepared.degrees,
+                tracer=tr,
+            )
+            cuts = np.concatenate(([0], np.cumsum(found.counts[0])))
             new_lists = []
-            for r in range(np_ranks):
-                received = [m.reshape(-1, 2) for m in res.data[r]]
+            for r, st in enumerate(states):
+                st.unexplored_degree -= int(found.degree[0, r])
                 new_lists.append(
-                    topdown.apply_received(states[r], received, tracer=tr, rank=r)
+                    found.vertices[cuts[r]:cuts[r + 1]] - bounds[r]
                 )
         return new_lists
 

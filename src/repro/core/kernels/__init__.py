@@ -1,8 +1,7 @@
 """Pluggable BFS kernel backends.
 
-The engine's per-rank compute kernels (top-down expand, bottom-up scan)
-live behind a small registry so alternative implementations can be
-swapped without touching the engine.  Three backends ship:
+The engine's per-rank bottom-up scan lives behind a small registry so
+alternative implementations can be swapped without touching the engine.  Three backends ship:
 
 ``reference``
     The original full-materialization kernels
@@ -35,10 +34,7 @@ from repro.core.kernels.base import (
     FALLBACK_BACKEND,
     BottomUpResult,
     KernelBackend,
-    TopDownSend,
     available_backends,
-    bucket_by_owner,
-    dedup_first_parent,
     get_backend,
     register_backend,
 )
@@ -54,10 +50,7 @@ __all__ = [
     "FALLBACK_BACKEND",
     "KernelBackend",
     "ReferenceBackend",
-    "TopDownSend",
     "available_backends",
-    "bucket_by_owner",
-    "dedup_first_parent",
     "default_backend",
     "get_backend",
     "register_backend",

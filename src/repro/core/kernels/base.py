@@ -1,19 +1,18 @@
 """Kernel backend contract and shared machinery of the BFS compute path.
 
-A *kernel backend* supplies the two per-rank compute kernels the engine
-runs every level: the top-down frontier expansion and the bottom-up
-frontier scan.  Backends are interchangeable implementations of the same
-algorithm — every backend must reproduce the paper's accounting
-**bit-identically** (``examined_edges`` and ``inqueue_reads`` per
-Section II.B.2, the parent of every discovered vertex, and the discovery
-order within a level), because the cost model and the Fig. 16 experiment
-consume those counts.  What backends may differ in is how much temporary
-memory and how many bitmap probes they spend producing them.
+A *kernel backend* supplies the bottom-up frontier scan, the compute
+kernel the paper's optimizations concern (the top-down step is one
+shared vectorized pass, :mod:`repro.core.topdown`).  Backends are
+interchangeable implementations of the same algorithm — every backend
+must reproduce the paper's accounting **bit-identically**
+(``examined_edges`` and ``inqueue_reads`` per Section II.B.2, the parent
+of every discovered vertex, and the discovery order within a level),
+because the cost model and the Fig. 16 experiment consume those counts.
+What backends may differ in is how much temporary memory and how many
+bitmap probes they spend producing them.
 
-This module holds the contract (:class:`KernelBackend`), the result
-dataclasses both step modules re-export, the backend registry, and the
-shared top-down expansion (identical for all backends — the paper's
-optimizations only concern the bottom-up phase).
+This module holds the contract (:class:`KernelBackend`), the scan's
+result dataclass and the backend registry.
 """
 
 from __future__ import annotations
@@ -26,25 +25,20 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.log import get_logger
-from repro.util.segments import gather_adjacency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
     from repro.core.config import BFSConfig
     from repro.core.kernels.batched import LaneScanResult
     from repro.core.state import RankState
-    from repro.graph.partition import LocalGraph, Partition1D
+    from repro.graph.partition import LocalGraph
 
 __all__ = [
     "BottomUpResult",
-    "TopDownSend",
     "KernelBackend",
     "register_backend",
     "available_backends",
     "get_backend",
-    "bucket_by_owner",
-    "dedup_first_parent",
-    "DENSE_DEDUP_FRACTION",
     "FALLBACK_BACKEND",
 ]
 
@@ -71,80 +65,11 @@ class BottomUpResult:
     chunk_rounds: int = 0
 
 
-@dataclass
-class TopDownSend:
-    """Outcome of one rank's top-down expansion."""
-
-    # Per-destination-rank arrays of shape (k, 2): (child, parent) pairs.
-    outbox: list[np.ndarray]
-    frontier_size: int
-    examined_edges: int
-
-
-# Switch the (child, parent) dedup to the linear scatter path once the
-# pair count reaches 1/DENSE_DEDUP_FRACTION of the vertex space; below
-# that, zeroing two vertex-sized arrays costs more than sorting the few
-# pairs.
-DENSE_DEDUP_FRACTION = 8
-
-
-def _dedup_sorted(
-    children: np.ndarray, parents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort dedup: ``O(E log E)``, no vertex-sized temporaries."""
-    order = np.argsort(children, kind="stable")
-    children = children[order]
-    parents = parents[order]
-    keep = np.empty(children.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(children[1:], children[:-1], out=keep[1:])
-    return children[keep], parents[keep]
-
-
-def _dedup_dense(
-    children: np.ndarray, parents: np.ndarray, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter dedup: ``O(E + n)`` with two vertex-sized temporaries.
-
-    Scattering the pairs in *reverse* order makes the first occurrence's
-    parent the last (surviving) write, matching the stable-sort path
-    exactly; ``flatnonzero`` then yields the children ascending, which is
-    the owner-bucketed order the contiguous 1-D partition needs.
-    """
-    present = np.zeros(num_vertices, dtype=bool)
-    present[children] = True
-    first_parent = np.empty(num_vertices, dtype=np.int64)
-    first_parent[children[::-1]] = parents[::-1]
-    kept = np.flatnonzero(present)
-    return kept, first_parent[kept]
-
-
-def dedup_first_parent(
-    children: np.ndarray, parents: np.ndarray, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (child, parent) pair per distinct child, children ascending.
-
-    For duplicate children the *first* occurrence's parent wins, as in
-    the reference code's coalescing send buffers.  Dense inputs (mid-BFS
-    top-down levels, where the pair count rivals ``2E``) take a linear
-    scatter path instead of the historic ``O(E log E)`` stable argsort;
-    both paths produce bit-identical output, so the choice is purely a
-    performance heuristic.
-    """
-    if children.size == 0:
-        return children, parents
-    if children.size * DENSE_DEDUP_FRACTION >= num_vertices:
-        return _dedup_dense(children, parents, num_vertices)
-    return _dedup_sorted(children, parents)
-
-
 class KernelBackend(abc.ABC):
-    """One interchangeable implementation of the per-rank BFS kernels.
+    """One interchangeable implementation of the bottom-up BFS kernel.
 
     Subclasses set ``name`` (the registry key) and implement
-    :meth:`bottom_up_scan`.  The top-down expansion is shared: the
-    paper's kernel-level optimizations all concern the bottom-up phase,
-    so differing there would only risk divergence.
+    :meth:`bottom_up_scan`.
     """
 
     name: ClassVar[str]
@@ -217,68 +142,6 @@ class KernelBackend(abc.ABC):
             groups=groups,
             num_groups=num_groups,
         )
-
-    def top_down_expand(
-        self,
-        state: "RankState",
-        frontier_local: np.ndarray,
-        partition: "Partition1D",
-    ) -> TopDownSend:
-        """Expand the local frontier into per-owner (child, parent) pairs.
-
-        Pairs are deduplicated per child within the message (first parent
-        encountered wins, children ascending per destination), as the
-        reference code's per-destination coalescing buffers do.
-        """
-        lg = state.local
-        num_parts = partition.num_parts
-        frontier_local = np.asarray(frontier_local, dtype=np.int64)
-
-        if frontier_local.size == 0:
-            empty = [np.zeros((0, 2), dtype=np.int64) for _ in range(num_parts)]
-            return TopDownSend(outbox=empty, frontier_size=0, examined_edges=0)
-
-        gather = gather_adjacency(lg.offsets, frontier_local)
-        total = int(gather.seg_offsets[-1])
-        if total == 0:
-            empty = [np.zeros((0, 2), dtype=np.int64) for _ in range(num_parts)]
-            return TopDownSend(
-                outbox=empty,
-                frontier_size=int(frontier_local.size),
-                examined_edges=0,
-            )
-
-        children = lg.targets[gather.pos]
-        parents = np.repeat(frontier_local + lg.lo, gather.lens)
-        children, parents = dedup_first_parent(
-            children, parents, partition.num_vertices
-        )
-        return TopDownSend(
-            outbox=bucket_by_owner(children, parents, partition),
-            frontier_size=int(frontier_local.size),
-            examined_edges=total,
-        )
-
-
-def bucket_by_owner(
-    children: np.ndarray, parents: np.ndarray, partition: "Partition1D"
-) -> list[np.ndarray]:
-    """Split ascending (child, parent) pairs into per-owner ``(k, 2)``
-    arrays, one per destination rank.
-
-    ``children`` must be sorted ascending (the dedup helpers and the
-    cnative expand both guarantee it), so owners are non-decreasing and
-    a single ``searchsorted`` finds every destination's slice.
-    """
-    num_parts = partition.num_parts
-    owners = partition.owner(children)
-    outbox: list[np.ndarray] = []
-    bounds = np.searchsorted(owners, np.arange(num_parts + 1))
-    for dest in range(num_parts):
-        lo, hi = bounds[dest], bounds[dest + 1]
-        pairs = np.stack([children[lo:hi], parents[lo:hi]], axis=1)
-        outbox.append(np.ascontiguousarray(pairs))
-    return outbox
 
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}

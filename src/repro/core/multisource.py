@@ -10,9 +10,9 @@ amortizing the expensive shared work:
 * the bottom-up scan gathers each candidate's adjacency once and
   answers every source from bit-packed *lane* words (one ``uint64`` lane
   per source, :mod:`repro.core.kernels.batched`);
-* the top-down expansion is fused across sources and ranks into a
-  handful of vectorized passes (composite-key dedup reproduces the
-  per-sender coalescing buffers exactly);
+* the top-down level runs the shared step of :mod:`repro.core.topdown`
+  once for all top-down sources (one lane each), as ``BFSEngine`` runs
+  it for its single source;
 * the prepared partition, the communicator, and the shared-memory
   buffers are built once per batch.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import topdown
 from repro.core.bitmap import Bitmap, SummaryBitmap, summary_words_for
 from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
@@ -51,7 +52,6 @@ from repro.machine.spec import ClusterSpec
 from repro.mpi.codecs import get_codec
 from repro.mpi.collectives import allgather
 from repro.util import bitops
-from repro.util.segments import gather_adjacency
 
 __all__ = ["MultiSourceEngine", "run_bfs_batch"]
 
@@ -87,12 +87,8 @@ class MultiSourceEngine:
         # The engine resolved None to NULL_TRACER; share its choice so
         # batch spans and comm events land in the same recording.
         self.tracer = self.engine.tracer
-        bounds = self.engine.partition.bounds
         # Owning rank of every vertex (partitions are contiguous ranges).
-        self._owner_of = np.repeat(
-            np.arange(self.engine.mapping.num_ranks, dtype=np.int64),
-            np.diff(bounds),
-        )
+        self._owner_of = self.engine.partition.owners
         self.metrics = metrics
 
     @property
@@ -136,13 +132,14 @@ class MultiSourceEngine:
         of finishing work nobody will read.
         """
         tracer = self.tracer
+        roots = list(roots)
         if not tracer.enabled:
             return self._run_batch(roots, validate, cancel=cancel)
         with tracer.span(
             "batch.run",
             cat="batch",
             batch_id=batch_id,
-            lanes=len(list(roots)),
+            lanes=len(roots),
             sources=[int(r) for r in roots],
         ):
             for lane, root in enumerate(roots):
@@ -275,9 +272,23 @@ class MultiSourceEngine:
                         bu_set.append(s)
 
                 if td_set:
-                    self._top_down_round(
-                        td_set, frontiers, parent, unexplored, lcs
+                    out = topdown.expand(
+                        graph, eng.partition,
+                        np.concatenate([frontiers[s] for s in td_set]),
+                        [frontiers[s].size for s in td_set],
+                        tracer=tracer,
                     )
+                    res = eng.comm.alltoallv(out.pairs, out.counts)
+                    found = topdown.apply_received(
+                        parent, td_set, *res.data, degrees, tracer=tracer,
+                    )
+                    unexplored[td_set] -= found.degree
+                    cuts = np.concatenate(
+                        ([0], np.cumsum(found.counts.sum(axis=1)))
+                    )
+                    for b, s in enumerate(td_set):
+                        out.record(b, lcs[s])
+                        frontiers[s] = found.vertices[cuts[b]:cuts[b + 1]]
                 if bu_set:
                     self._bottom_up_round(
                         bu_set, frontiers, parent, unexplored, lcs, shared,
@@ -320,113 +331,6 @@ class MultiSourceEngine:
             self.metrics.counter("bfs.batch_sources_total").inc(num)
             self.metrics.histogram("bfs.batch_size").observe(num)
         return results
-
-    # ---- fused top-down --------------------------------------------------
-
-    def _top_down_round(
-        self, td, frontiers, parent, unexplored, lcs
-    ) -> None:
-        """Expand all top-down sources in one vectorized pass.
-
-        Reproduces, per source, exactly what the per-rank sequential
-        path does: per-sender first-occurrence dedup over the flattened
-        adjacency (children ascending per message), per-destination
-        bucketing and byte accounting, receiver-side first-sender-wins
-        coalescing, and discovery order (destination, sender, child) —
-        the order matters because it feeds the next level's dedup.
-        """
-        eng = self.engine
-        graph = eng.graph
-        n = graph.num_vertices
-        np_ranks = eng.mapping.num_ranks
-        degrees = eng.prepared.degrees
-        td_arr = np.asarray(td, dtype=np.int64)
-        B = len(td)
-
-        sizes = [frontiers[s].size for s in td]
-        F = np.concatenate([frontiers[s] for s in td])
-        src = np.repeat(np.arange(B, dtype=np.int64), sizes)
-        owners_f = self._owner_of[F]
-        gather = gather_adjacency(graph.offsets, F)
-
-        # examined_edges per (source, sender): the full flattened
-        # adjacency size, as TopDownSend.examined_edges reports.
-        exam = (
-            np.bincount(
-                src * np_ranks + owners_f,
-                weights=gather.lens.astype(np.float64),
-                minlength=B * np_ranks,
-            )
-            .astype(np.int64)
-            .reshape(B, np_ranks)
-        )
-
-        children = graph.targets[gather.pos]
-        par_flat = np.repeat(F, gather.lens)
-        src_flat = np.repeat(src, gather.lens)
-        sender_flat = np.repeat(owners_f, gather.lens)
-
-        # Per-(source, sender) dedup, first occurrence's parent wins —
-        # np.unique returns first-occurrence indices, and its sorted
-        # order yields children ascending per (source, sender), which is
-        # exactly the sequential per-destination message content.
-        key = (src_flat * np_ranks + sender_flat) * n + children
-        _, idx = np.unique(key, return_index=True)
-        kc = children[idx]
-        kp = par_flat[idx]
-        ks = src_flat[idx]
-        ksend = sender_flat[idx]
-        kown = self._owner_of[kc]
-
-        send_bytes = (
-            np.bincount(
-                (ks * np_ranks + ksend) * np_ranks + kown,
-                minlength=B * np_ranks * np_ranks,
-            )
-            .reshape(B, np_ranks, np_ranks)
-            .astype(np.int64)
-            * 16  # one (child, parent) int64 pair per kept entry
-        )
-
-        # Receiver side: messages arrive sender-ascending, each sorted by
-        # child, and the first occurrence of a child wins (= the lowest
-        # sender).  Sorting kept pairs into (source, owner, sender,
-        # child) order makes "first occurrence in array order" exactly
-        # that winner.  One fused-key argsort replaces the four-key
-        # lexsort: each component is strictly below its radix.
-        order = np.argsort(
-            ((ks * np_ranks + kown) * np_ranks + ksend) * n + kc,
-            kind="stable",
-        )
-        kc, kp, ks, ksend, kown = (
-            kc[order], kp[order], ks[order], ksend[order], kown[order]
-        )
-        key2 = (ks * np_ranks + kown) * n + kc
-        _, idx2 = np.unique(key2, return_index=True)
-        win = np.sort(idx2)  # winners, back in discovery order
-        wc, wp, wsrc, wown = kc[win], kp[win], ks[win], kown[win]
-
-        fresh = parent[td_arr[wsrc], wc] < 0
-        wc, wp, wsrc, wown = wc[fresh], wp[fresh], wsrc[fresh], wown[fresh]
-        parent[td_arr[wsrc], wc] = wp
-        unexplored[td_arr] -= (
-            np.bincount(
-                wsrc * np_ranks + wown,
-                weights=degrees[wc].astype(np.float64),
-                minlength=B * np_ranks,
-            )
-            .astype(np.int64)
-            .reshape(B, np_ranks)
-        )
-
-        cuts = np.searchsorted(wsrc, np.arange(B + 1))
-        for b, s in enumerate(td):
-            frontiers[s] = wc[cuts[b]:cuts[b + 1]].copy()
-            lc = lcs[s]
-            lc.examined_edges = exam[b]
-            lc.candidates = np.zeros(np_ranks, dtype=np.int64)
-            lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-            lc.td_send_bytes = send_bytes[b]
 
     # ---- batched bottom-up -----------------------------------------------
 

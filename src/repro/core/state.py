@@ -19,15 +19,20 @@ class RankState:
     local: LocalGraph
     # parent[i] is the global parent id of local vertex (lo + i); -1 while
     # undiscovered; the root is its own parent (Graph500 convention).
-    parent: np.ndarray = field(init=False)
+    # The engine passes its slice of one run-wide parent array, so the
+    # shared top-down step writes every rank's parents at once; without
+    # one the state allocates its own.
+    parent: np.ndarray | None = None
     # Sum of degrees of still-undiscovered local vertices; used by the
     # hybrid policy (m_u of Beamer's alpha test), maintained decrementally.
     unexplored_degree: int = field(init=False)
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.local.num_local_vertices
-        self.parent = np.full(n, -1, dtype=np.int64)
+        if self.parent is None:
+            self.parent = np.full(
+                self.local.num_local_vertices, -1, dtype=np.int64
+            )
         self.degrees = np.diff(self.local.offsets)
         self.unexplored_degree = int(self.degrees.sum())
 

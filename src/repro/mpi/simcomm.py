@@ -115,9 +115,10 @@ class SimComm:
             return 0.0
         return self.network.transfer_time(nbytes, flows=flows, node_index=node_index)
 
-    def _rank_topology(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _rank_topology(self) -> tuple[np.ndarray, ...]:
         """Memoized per-rank topology arrays for the pricing hot path:
-        owning node per rank, the rank×rank same-node mask, and each
+        owning node per rank, the rank×rank same-node mask, that mask
+        without the diagonal (distinct ranks sharing a node), and each
         rank's *static* network derating (the injector's dynamic link
         derating is applied by the caller — it can change run to run)."""
         cached = getattr(self, "_rank_topo", None)
@@ -131,7 +132,8 @@ class SimComm:
                 [self.cluster.network_derating(int(n)) for n in nodes],
                 dtype=np.float64,
             )
-            cached = (nodes, same, base)
+            intra = same & ~np.eye(self.num_ranks, dtype=bool)
+            cached = (nodes, same, intra, base)
             self._rank_topo = cached
         return cached
 
@@ -245,13 +247,14 @@ class SimComm:
     def alltoallv_time(self, send_bytes: np.ndarray) -> np.ndarray:
         """Per-rank time of an alltoallv given its byte matrix.
 
-        ``send_bytes[i, j]`` is the payload rank ``i`` sends to rank ``j``;
-        self-messages are free (local pointer hand-off).  A rank's time is
-        the maximum of its send side and its receive side.
+        ``send_bytes[..., i, j]`` is the payload rank ``i`` sends to rank
+        ``j``; leading axes stack independent exchanges, each priced on
+        its own.  Self-messages are free (local pointer hand-off).  A
+        rank's time is the maximum of its send side and its receive side.
         """
         np_ranks = self.num_ranks
         send_bytes = np.asarray(send_bytes, dtype=np.float64)
-        if send_bytes.shape != (np_ranks, np_ranks):
+        if send_bytes.ndim < 2 or send_bytes.shape[-2:] != (np_ranks, np_ranks):
             raise CommunicationError(
                 f"alltoallv expects a {np_ranks}x{np_ranks} byte matrix",
                 collective="alltoallv",
@@ -262,51 +265,75 @@ class SimComm:
         inter_bw = self.network.flow_bandwidth(max(1, ppn))
         intra_bw = self.memory.copy_bandwidth(max(1, ppn))
 
-        nodes, same_node, derate = self._rank_topology()
-        nonzero = send_bytes > 0
-        np.fill_diagonal(nonzero, False)
+        nodes, same_node, intra, derate = self._rank_topology()
         if self.injector is not None:
             derate = derate * np.array(
                 [self.injector.link_derating(int(n)) for n in nodes]
             )
 
-        intra_mask = nonzero & same_node
-        inter_mask = nonzero & ~same_node
+        positive = send_bytes > 0
+        intra_mask = positive & intra
+        inter_mask = positive & ~same_node
+        intra_bytes = send_bytes * intra_mask
+        inter_bytes = send_bytes * inter_mask
         send_t = (
-            intra_mask.sum(axis=1) * shm_lat
-            + (send_bytes * intra_mask).sum(axis=1) / intra_bw * 1e9
-            + inter_mask.sum(axis=1) * ib_lat
-            + (send_bytes * inter_mask).sum(axis=1) / (inter_bw * derate) * 1e9
+            intra_mask.sum(axis=-1) * shm_lat
+            + intra_bytes.sum(axis=-1) / intra_bw * 1e9
+            + inter_mask.sum(axis=-1) * ib_lat
+            + inter_bytes.sum(axis=-1) / (inter_bw * derate) * 1e9
         )
         recv_t = (
-            nonzero.sum(axis=0) * min(ib_lat, shm_lat)
-            + (send_bytes * intra_mask).sum(axis=0) / intra_bw * 1e9
-            + (send_bytes * inter_mask).sum(axis=0) / inter_bw * 1e9
+            (intra_mask | inter_mask).sum(axis=-2) * min(ib_lat, shm_lat)
+            + intra_bytes.sum(axis=-2) / intra_bw * 1e9
+            + inter_bytes.sum(axis=-2) / inter_bw * 1e9
         )
         return np.maximum(send_t, recv_t)
 
-    def alltoallv(self, send: list[list[np.ndarray]]) -> CollectiveResult:
-        """Exchange variable-size arrays between all rank pairs.
+    def alltoallv(
+        self, sendbuf: np.ndarray, sendcounts: np.ndarray
+    ) -> CollectiveResult:
+        """``MPI_Alltoallv`` over one flat send buffer.
 
-        ``send[i][j]`` is the array rank ``i`` sends to rank ``j``; the
-        result's ``data[j][i]`` is what rank ``j`` received from rank ``i``
-        (the same array object — messages are not mutated in transit).
-        Used by the top-down phase to route discovered (vertex, parent)
-        pairs to their owners.
+        ``sendcounts[..., i, j]`` is the number of ``sendbuf`` rows rank
+        ``i`` sends to rank ``j``; the rows are laid out in that order
+        (sender-major, then destination), as every rank's send buffer
+        with its displacements would be.  Leading axes stack independent
+        exchanges — one per batched BFS lane — that are priced, and
+        traced, one by one.  The result's ``data`` is ``(recvbuf,
+        recvcounts)``: the rows in receiver-major order (each receiver's
+        rows sender-ascending) and ``recvcounts[..., j, i]`` =
+        ``sendcounts[..., i, j]``.  Used by the top-down phase to route
+        discovered (vertex, parent) pairs to their owners.
         """
         np_ranks = self.num_ranks
-        if len(send) != np_ranks or any(len(row) != np_ranks for row in send):
+        counts = np.asarray(sendcounts, dtype=np.int64)
+        if (
+            counts.ndim < 2
+            or counts.shape[-2:] != (np_ranks, np_ranks)
+            or counts.sum() != len(sendbuf)
+        ):
             raise CommunicationError(
-                f"alltoallv expects a {np_ranks}x{np_ranks} send matrix",
+                f"alltoallv expects {np_ranks}x{np_ranks} send counts "
+                f"covering all {len(sendbuf)} rows",
                 collective="alltoallv",
             )
-        recv: list[list[np.ndarray]] = [
-            [send[i][j] for i in range(np_ranks)] for j in range(np_ranks)
-        ]
-        send_bytes = np.array(
-            [[send[i][j].nbytes for j in range(np_ranks)] for i in range(np_ranks)],
-            dtype=np.float64,
+        recvcounts = np.swapaxes(counts, -1, -2)
+        # Block b of the send buffer holds sendcounts.flat[b] rows; the
+        # receive buffer takes the same blocks in transposed order.
+        flat = counts.ravel()
+        send_start = np.cumsum(flat) - flat
+        order = np.swapaxes(
+            np.arange(flat.size).reshape(counts.shape), -1, -2
+        ).ravel()
+        lens = flat[order]
+        recv_start = np.cumsum(lens) - lens
+        src = np.arange(len(sendbuf)) + np.repeat(
+            send_start[order] - recv_start, lens
         )
+        recvbuf = np.take(sendbuf, src, axis=0)
+
+        row_bytes = sendbuf.dtype.itemsize * math.prod(sendbuf.shape[1:])
+        send_bytes = (counts * row_bytes).astype(np.float64)
         times = self.alltoallv_time(send_bytes)
         if self.injector is not None:
             # A scheduled transient failure wastes the whole attempt:
@@ -315,34 +342,37 @@ class SimComm:
             self.injector.collective_attempt(
                 "alltoallv", wasted_ns=float(times.max(initial=0.0))
             )
+        self_bytes = np.trace(send_bytes, axis1=-2, axis2=-1).sum()
         result = CollectiveResult(
-            data=recv,
+            data=(recvbuf, recvcounts),
             rank_times=times,
             breakdown={"alltoallv": float(times.max(initial=0.0))},
             raw_bytes=float(send_bytes.sum()),
-            wire_bytes=float(send_bytes.sum() - np.trace(send_bytes)),
+            wire_bytes=float(send_bytes.sum() - self_bytes),
         )
         if self.tracer.enabled:
-            nodes = np.array(
-                [self.mapping.node_of(r) for r in range(np_ranks)],
-                dtype=np.int64,
-            )
-            same_node = nodes[:, None] == nodes[None, :]
+            _nodes, same_node, intra, _derate = self._rank_topology()
             self_mask = np.eye(np_ranks, dtype=bool)
-            intra = float(send_bytes[same_node & ~self_mask].sum())
-            inter = float(send_bytes[~same_node].sum())
-            self.tracer.comm_event(
-                "alltoallv",
-                nbytes=float(send_bytes.sum()),
-                rank_times=times,
-                breakdown=result.breakdown,
-                # Pre-share payload vs. bytes on an actual channel:
-                # self-messages are pointer hand-offs and never hit a
-                # wire, so wire_bytes excludes the diagonal.
-                raw_bytes=float(send_bytes.sum()),
-                wire_bytes=intra + inter,
-                self_bytes=float(send_bytes[self_mask].sum()),
-                intra_bytes=intra,
-                inter_bytes=inter,
-            )
+            for lane_bytes, lane_times in zip(
+                send_bytes.reshape(-1, np_ranks, np_ranks),
+                times.reshape(-1, np_ranks),
+            ):
+                intra_b = float(lane_bytes[intra].sum())
+                inter_b = float(lane_bytes[~same_node].sum())
+                self.tracer.comm_event(
+                    "alltoallv",
+                    nbytes=float(lane_bytes.sum()),
+                    rank_times=lane_times,
+                    breakdown={
+                        "alltoallv": float(lane_times.max(initial=0.0))
+                    },
+                    # Pre-share payload vs. bytes on an actual channel:
+                    # self-messages are pointer hand-offs and never hit
+                    # a wire, so wire_bytes excludes the diagonal.
+                    raw_bytes=float(lane_bytes.sum()),
+                    wire_bytes=intra_b + inter_b,
+                    self_bytes=float(lane_bytes[self_mask].sum()),
+                    intra_bytes=intra_b,
+                    inter_bytes=inter_b,
+                )
         return result

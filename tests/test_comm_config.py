@@ -1,14 +1,11 @@
-"""CommConfig consolidation and the legacy flat-kwarg shims.
+"""CommConfig: the single home of the communication settings.
 
-PR 3's API redesign moves every communication knob onto
-``BFSConfig.comm`` (a frozen :class:`CommConfig`).  This suite pins the
-three contracts of that migration: (1) ``CommConfig`` validates and
-derives algorithms exactly as the flat kwargs did, (2) the flat kwargs
-— deprecated in PR 3, removed by the serving-layer redesign — now fail
-with a :class:`ConfigError` that names the offending kwargs and spells
-out the equivalent ``comm=CommConfig(...)``, and (3) the forwarding
-properties keep the paper's vocabulary (``share_in_queue`` and
-friends) readable without a second source of truth.
+Every communication knob lives on ``BFSConfig.comm`` (a frozen
+:class:`CommConfig`).  This suite pins its two contracts: (1)
+``CommConfig`` validates and derives the allgather algorithms, and (2)
+the forwarding properties keep the paper's vocabulary
+(``share_in_queue`` and friends) readable without a second source of
+truth.
 """
 
 import dataclasses
@@ -20,54 +17,9 @@ from repro.errors import ConfigError
 from repro.machine import Placement
 from repro.mpi import AllgatherAlgorithm
 
-LEGACY_SHIMS = [
-    ({"share_in_queue": True}, CommConfig.shared_in_queue()),
-    (
-        {"share_in_queue": True, "share_all": True},
-        CommConfig.shared_all(),
-    ),
-    (
-        {
-            "share_in_queue": True,
-            "share_all": True,
-            "parallel_allgather": True,
-        },
-        CommConfig.parallel(),
-    ),
-    ({"granularity": 256}, CommConfig(summary_granularity=256)),
-    ({"use_summary": False}, CommConfig(use_summary=False)),
-    (
-        {"share_in_queue": True, "granularity": 128, "use_summary": True},
-        CommConfig.shared_in_queue(summary_granularity=128),
-    ),
-]
-
 
 class TestLegacyShims:
-    """The removed flat kwargs: raise with the exact migration hint."""
-
-    @pytest.mark.parametrize("legacy, expected", LEGACY_SHIMS)
-    def test_legacy_kwargs_raise_with_equivalent(self, legacy, expected):
-        with pytest.raises(ConfigError, match="no longer supported") as exc:
-            BFSConfig(**legacy)
-        # The error carries the exact replacement, ready to paste.
-        assert repr(expected) in str(exc.value)
-        assert "comm=CommConfig" in str(exc.value)
-
-    def test_error_names_the_offending_kwargs(self):
-        with pytest.raises(ConfigError, match="share_all") as exc:
-            BFSConfig(share_in_queue=True, share_all=True)
-        assert "share_in_queue" in str(exc.value)
-
-    def test_legacy_alongside_comm_also_rejected(self):
-        with pytest.raises(ConfigError, match="no longer supported"):
-            BFSConfig(comm=CommConfig(), share_in_queue=True)
-
-    def test_invalid_legacy_combination_still_typed_error(self):
-        """share_all without share_in_queue has no equivalent; the
-        error still points at the CommConfig migration."""
-        with pytest.raises(ConfigError, match="comm=CommConfig"):
-            BFSConfig(share_all=True)
+    """The flat comm kwargs are gone; ``comm=`` is the one spelling."""
 
     def test_modern_path_does_not_warn(self):
         import warnings

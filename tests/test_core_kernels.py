@@ -65,51 +65,52 @@ class TestTopDown:
     def test_expand_routes_to_owners(self):
         g = path_graph(8)
         part = Partition1D(8, 2)
-        st = RankState(part.extract_local(g, 0))
-        # Frontier = global vertex 3 (local id 3 on rank 0); neighbours are
-        # 2 (owned by rank 0) and 4 (owned by rank 1).
-        send = topdown.expand(st, np.array([3]), part)
-        assert send.frontier_size == 1
-        assert send.examined_edges == 2
-        assert send.outbox[0].tolist() == [[2, 3]]
-        assert send.outbox[1].tolist() == [[4, 3]]
+        # Frontier = vertex 3 (rank 0); neighbours are 2 (owned by rank 0)
+        # and 4 (owned by rank 1).
+        out = topdown.expand(g, part, np.array([3]), [1])
+        assert out.examined_edges.tolist() == [[2, 0]]
+        assert out.counts.tolist() == [[[1, 1], [0, 0]]]
+        assert out.pairs.tolist() == [[2, 3], [4, 3]]
 
     def test_expand_dedupes_children(self):
         g = cycle_graph(4)
         part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
         # Vertices 0 and 2 are both adjacent to 1 and 3.
-        send = topdown.expand(st, np.array([0, 2]), part)
-        children = sorted(send.outbox[0][:, 0].tolist())
-        assert children == [1, 3]  # each child once despite two finders
-        assert send.examined_edges == 4
+        out = topdown.expand(g, part, np.array([0, 2]), [2])
+        # Each child once despite two finders; the first finder wins.
+        assert out.pairs.tolist() == [[1, 0], [3, 0]]
+        assert out.examined_edges.tolist() == [[4]]
 
     def test_expand_empty_frontier(self):
         g = path_graph(4)
         part = Partition1D(4, 2)
-        st = RankState(part.extract_local(g, 1))
-        send = topdown.expand(st, np.array([], dtype=np.int64), part)
-        assert send.examined_edges == 0
-        assert all(o.size == 0 for o in send.outbox)
+        out = topdown.expand(g, part, np.array([], dtype=np.int64), [0])
+        assert out.examined_edges.tolist() == [[0, 0]]
+        assert out.pairs.shape == (0, 2)
+        assert not out.counts.any()
 
     def test_apply_received_discovers_once(self):
         g = path_graph(4)
-        part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
-        received = [
-            np.array([[1, 0], [2, 1]], dtype=np.int64),
-            np.array([[1, 2]], dtype=np.int64),
-        ]
-        new = topdown.apply_received(st, received)
-        assert sorted(new.tolist()) == [1, 2]
-        assert st.parent[1] == 0  # first message wins
+        parent = np.full((1, 4), -1, dtype=np.int64)
+        # Receiver-major: rank 0 got (1, 0) from itself and (1, 2) from
+        # rank 1; rank 1 got (2, 1) from rank 0.
+        recv = np.array([[1, 0], [1, 2], [2, 1]], dtype=np.int64)
+        recv_counts = np.array([[[1, 1], [1, 0]]])
+        found = topdown.apply_received(parent, [0], recv, recv_counts, g.degrees())
+        assert found.vertices.tolist() == [1, 2]
+        assert parent[0].tolist() == [-1, 0, 1, -1]  # first sender wins
+        assert found.counts.tolist() == [[1, 1]]
+        assert found.degree.tolist() == [[2, 2]]
 
     def test_apply_received_empty(self):
         g = path_graph(4)
-        part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
-        new = topdown.apply_received(st, [np.zeros((0, 2), dtype=np.int64)])
-        assert new.size == 0
+        parent = np.full((1, 4), -1, dtype=np.int64)
+        found = topdown.apply_received(
+            parent, [0], np.zeros((0, 2), dtype=np.int64),
+            np.zeros((1, 2, 2), dtype=np.int64), g.degrees(),
+        )
+        assert found.vertices.size == 0
+        assert (parent == -1).all()
 
 
 class TestBottomUp:

@@ -22,7 +22,6 @@ from repro.core.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.core.kernels.base import _dedup_dense, _dedup_sorted, dedup_first_parent
 from repro.core.state import RankState
 from repro.errors import ConfigError
 from repro.graph import (
@@ -209,38 +208,6 @@ class TestEngineEquivalence:
             # never change a simulated (paper) result.
             assert a.seconds == b.seconds, kernel
             assert a.teps == b.teps, kernel
-
-
-class TestTopDownDedup:
-    """The two dedup paths (argsort vs. linear scatter) are equivalent."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_paths_agree_on_random_pairs(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 500
-        size = int(rng.integers(1, 4000))
-        children = rng.integers(0, n, size=size)
-        parents = rng.integers(0, n, size=size)
-        a = _dedup_sorted(children, parents)
-        b = _dedup_dense(children, parents, n)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-
-    def test_first_occurrence_parent_wins(self):
-        children = np.array([7, 3, 7, 3, 9])
-        parents = np.array([1, 2, 3, 4, 5])
-        for kids, folks in (
-            _dedup_sorted(children, parents),
-            _dedup_dense(children, parents, 10),
-            dedup_first_parent(children, parents, 10),
-        ):
-            assert kids.tolist() == [3, 7, 9]
-            assert folks.tolist() == [2, 1, 5]
-
-    def test_dispatch_empty(self):
-        c = np.zeros(0, dtype=np.int64)
-        kids, folks = dedup_first_parent(c, c, 100)
-        assert kids.size == 0 and folks.size == 0
 
 
 class TestRegistryAndResolution:

@@ -241,26 +241,45 @@ class TestSimCommPrimitives:
     def test_alltoallv_routes_messages(self):
         comm = make_comm(nodes=2, ppn=2)
         n = comm.num_ranks
-        send = [
-            [np.array([i * 100 + j], dtype=np.int64) for j in range(n)]
-            for i in range(n)
+        # Two lanes; lane l's rank i sends (l + i + j) % 3 rows to rank
+        # j, each row naming (lane, sender, receiver, index).
+        counts = np.array(
+            [[[(lane + i + j) % 3 for j in range(n)] for i in range(n)]
+             for lane in range(2)]
+        )
+        send = np.array(
+            [(lane, i, j, k) for lane in range(2) for i in range(n)
+             for j in range(n) for k in range(counts[lane, i, j])]
+        )
+        res = comm.alltoallv(send, counts)
+        recv, recv_counts = res.data
+        assert recv.tolist() == [
+            [lane, i, j, k] for lane in range(2) for j in range(n)
+            for i in range(n) for k in range(counts[lane, i, j])
         ]
-        res = comm.alltoallv(send)
-        for j in range(n):
-            for i in range(n):
-                assert res.data[j][i][0] == i * 100 + j
+        assert np.array_equal(recv_counts, counts.transpose(0, 2, 1))
+        # Each lane is priced on its own.
+        for lane in range(2):
+            assert np.array_equal(
+                res.rank_times[lane],
+                comm.alltoallv_time(counts[lane] * send.itemsize * 4),
+            )
 
     def test_alltoallv_empty_messages_free(self):
         comm = make_comm(nodes=2, ppn=2)
         n = comm.num_ranks
-        send = [[np.zeros(0, np.int64) for _ in range(n)] for _ in range(n)]
-        res = comm.alltoallv(send)
+        res = comm.alltoallv(
+            np.zeros((0, 2), np.int64), np.zeros((1, n, n), np.int64)
+        )
         assert res.max_time == 0.0
 
     def test_alltoallv_shape_checked(self):
         comm = make_comm(nodes=2, ppn=2)
         with pytest.raises(CommunicationError):
-            comm.alltoallv([[np.zeros(0, np.int64)]])
+            comm.alltoallv(np.zeros(0, np.int64), np.zeros((1, 1), np.int64))
+        # Counts must cover the buffer exactly.
+        with pytest.raises(CommunicationError):
+            comm.alltoallv(np.zeros(3, np.int64), np.ones((4, 4), np.int64))
 
     def test_inter_faster_than_intra_for_small_latency(self):
         """Sanity: shm copies have lower latency but lower per-flow

@@ -113,20 +113,24 @@ class TestBatchSpans:
             graph, cluster, max_batch=4, max_wait_ms=5.0
         )
         asyncio.run(_serve(scheduler, [[3, 9]]))
-        (run,) = [sp for sp in tracer.spans if sp.name == "batch.run"]
-        assert run.attrs["lanes"] == 2
-        assert sorted(run.attrs["sources"]) == [3, 9]
-        levels = [
-            sp
-            for sp in tracer.spans
-            if sp.name == "batch.level" and sp.parent == run.index
-        ]
-        assert levels
-        assert [sp.attrs["round"] for sp in levels] == list(
-            range(len(levels))
-        )
-        for sp in levels:
-            assert "top_down" in sp.attrs and "bottom_up" in sp.attrs
+        # The engine also takes its roots as a one-shot iterator.
+        scheduler.session.engine.run_batch(iter([3, 9]))
+        runs = [sp for sp in tracer.spans if sp.name == "batch.run"]
+        assert len(runs) == 2
+        for run in runs:
+            assert run.attrs["lanes"] == 2
+            assert sorted(run.attrs["sources"]) == [3, 9]
+            levels = [
+                sp
+                for sp in tracer.spans
+                if sp.name == "batch.level" and sp.parent == run.index
+            ]
+            assert levels
+            assert [sp.attrs["round"] for sp in levels] == list(
+                range(len(levels))
+            )
+            for sp in levels:
+                assert "top_down" in sp.attrs and "bottom_up" in sp.attrs
 
     def test_queue_wait_span_brackets_pickup(self, graph, cluster):
         scheduler, tracer = traced_scheduler(graph, cluster)
