@@ -27,7 +27,6 @@ import pytest
 
 from repro.core import BFSConfig, BFSEngine, Bitmap, SummaryBitmap, compute_levels
 from repro.core.kernels import available_backends, get_backend
-from repro.core.state import RankState
 from repro.graph import Partition1D, generate_rmat_edges, rmat_graph
 from repro.graph.builder import build_graph
 from repro.machine import paper_cluster
@@ -120,14 +119,15 @@ def test_bottom_up_scan(benchmark, graph, mid_level, backend_name):
         # Resolution degraded (e.g. cnative without a toolchain): skip
         # rather than record another backend's numbers under this label.
         pytest.skip(f"backend {backend_name!r} unavailable here")
-    part = Partition1D(graph.num_vertices, 1)
+    # One rank owning every vertex.
+    bounds = Partition1D(graph.num_vertices, 1).bounds
     in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
     summary = SummaryBitmap.build(in_queue, 64)
 
     def fresh_state():
-        state = RankState(part.extract_local(graph, 0))
-        state.discover(visited, visited)
-        return (state, in_queue, summary), {}
+        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+        parent[visited] = visited
+        return (graph, bounds, parent, in_queue, summary), {}
 
     result = benchmark.pedantic(
         backend.bottom_up_scan,

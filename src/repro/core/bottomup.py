@@ -4,7 +4,8 @@ Each rank scans its *unvisited* local vertices; a vertex joins the next
 frontier if any neighbour lies in the current frontier (``in_queue``),
 and that first frontier neighbour becomes its parent.  The scan early-
 exits at the first hit, which is what makes bottom-up cheap on the big
-levels.
+levels.  Rank partitions are contiguous ranges of one global CSR, so a
+single kernel call runs every rank's pass of a level, in rank order.
 
 Two accounting subtleties the cost model depends on:
 
@@ -28,42 +29,46 @@ the accounting above.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.bitmap import Bitmap, SummaryBitmap
 from repro.core.kernels import KernelBackend, default_backend
 from repro.core.kernels.base import BottomUpResult
-from repro.core.bitmap import Bitmap, SummaryBitmap
-from repro.core.state import RankState
+from repro.graph.types import Graph
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["BottomUpResult", "scan"]
 
 
 def scan(
-    state: RankState,
+    graph: Graph,
+    bounds: np.ndarray,
+    parent: np.ndarray,
     in_queue: Bitmap,
     summary: SummaryBitmap | None,
     tracer=NULL_TRACER,
-    rank: int = 0,
     backend: KernelBackend | None = None,
 ) -> BottomUpResult:
-    """Scan unvisited local vertices against the global frontier bitmap.
+    """Scan every rank's unvisited vertices against the frontier bitmap
+    (rank ``r`` owns vertices ``[bounds[r], bounds[r + 1])``), writing
+    discoveries into ``parent``.
 
     ``backend`` selects the kernel implementation; ``None`` uses the
     process default (``$REPRO_KERNEL`` or the active-set backend).  With
-    a recording ``tracer`` the scan is wrapped in a ``bu.scan`` span
-    carrying the rank's candidate, examined-edge and in_queue-read
-    counts (the Section II.B.2 accounting) plus the backend's
+    a recording ``tracer`` the scan is wrapped in one ``bu.scan`` span
+    carrying the level's total Section II.B.2 counts plus the backend's
     gathered-edge/round diagnostics."""
     if backend is None:
         backend = default_backend()
-    with tracer.span("bu.scan", cat="compute", rank=rank) as sp:
-        out = backend.bottom_up_scan(state, in_queue, summary)
+    with tracer.span("bu.scan", cat="compute") as sp:
+        out = backend.bottom_up_scan(graph, bounds, parent, in_queue, summary)
         if tracer.enabled:
             sp.set(
                 backend=backend.name,
                 candidates=out.candidates,
                 examined_edges=out.examined_edges,
                 inqueue_reads=out.inqueue_reads,
-                discovered=int(out.new_local.size),
+                discovered=int(out.vertices.size),
                 gathered_edges=out.gathered_edges,
                 chunk_rounds=out.chunk_rounds,
             )

@@ -36,7 +36,6 @@ from repro.core.counts import Direction, LevelCounts, RunCounts
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import resolve_backend
 from repro.core.prepared import PreparedGraph
-from repro.core.state import RankState
 from repro.core.timing import BfsTiming, CostConstants, StructureSizes, assemble
 from repro.errors import FaultError, GraphError
 from repro.faults.checkpoint import BFSCheckpoint
@@ -175,12 +174,27 @@ class BFSEngine:
         self.comm.injector = self.injector
         np_ranks = self.mapping.num_ranks
         self.partition = prepared.partition
-        self._locals = prepared.locals
-        self._part_words = prepared.part_words
-        # Word offset of each rank's slice in the concatenated bitmap
-        # (partition bounds are 64-aligned, so slices tile exactly); used
-        # to hand the sieve codec per-rank views of the visited mask.
-        self._word_starts = prepared.word_starts
+        bounds = self.partition.bounds
+        # Partition bounds are 64-aligned, so each rank's bitmap part is
+        # a word slice of one full-graph bitmap: the per-rank allgather
+        # parts and sieve masks are views of it.
+        ws = (bounds // bitops.WORD_BITS).tolist()
+        self._word_slices = [slice(a, b) for a, b in zip(ws, ws[1:])]
+        self._max_part_words = max(b - a for a, b in zip(ws, ws[1:]))
+        # Summed degree per rank: the unexplored-edge counts of a run
+        # before anything is discovered.
+        deg_csum = np.concatenate(
+            ([0], np.cumsum(prepared.degrees, dtype=np.int64))
+        )
+        self._rank_degree = deg_csum[bounds[1:]] - deg_csum[bounds[:-1]]
+        # Node-shared in_queue buffers, reused by every run: each
+        # allgather overwrites every word, and readers copy them first.
+        total_words = bitops.words_for_bits(graph.num_vertices)
+        self._shared = (
+            [NodeSharedBuffer(node, total_words) for node in range(cluster.nodes)]
+            if config.shares_in_queue
+            else None
+        )
         self.sizes = StructureSizes(
             num_vertices=graph.num_vertices,
             num_arcs=graph.num_directed_edges,
@@ -191,38 +205,16 @@ class BFSEngine:
     # ---- helpers -------------------------------------------------------------
 
     def _shared_buffers(self) -> list[NodeSharedBuffer] | None:
-        if not self.config.shares_in_queue:
-            return None
-        total_words = bitops.words_for_bits(self.graph.num_vertices)
-        return [
-            NodeSharedBuffer(node, total_words)
-            for node in range(self.cluster.nodes)
-        ]
-
-    def _frontier_parts(
-        self, frontier_lists: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Build per-rank out_queue bitmap parts from local frontier lists."""
-        parts = []
-        for r, lst in enumerate(frontier_lists):
-            words = np.zeros(self._part_words[r], dtype=bitops.WORD_DTYPE)
-            bitops.set_bits(words, np.asarray(lst, dtype=np.int64))
-            parts.append(words)
-        return parts
+        """The per-node shared in_queue buffers (None when private)."""
+        return self._shared
 
     def _global_stats(
-        self, states: list[RankState], frontier_lists: list[np.ndarray]
+        self, frontier: np.ndarray, unexplored: np.ndarray
     ) -> FrontierStats:
-        n_f = sum(len(lst) for lst in frontier_lists)
-        m_f = sum(
-            int(st.degrees[np.asarray(lst, dtype=np.int64)].sum())
-            for st, lst in zip(states, frontier_lists)
-        )
-        m_u = sum(st.unexplored_degree for st in states)
         return FrontierStats(
-            frontier_vertices=n_f,
-            frontier_edges=m_f,
-            unexplored_edges=m_u,
+            frontier_vertices=int(frontier.size),
+            frontier_edges=int(self.prepared.degrees[frontier].sum()),
+            unexplored_edges=int(unexplored.sum()),
             num_vertices=self.graph.num_vertices,
         )
 
@@ -235,12 +227,10 @@ class BFSEngine:
             raise GraphError(f"root {root} out of range")
         np_ranks = self.mapping.num_ranks
         parent = np.full(graph.num_vertices, -1, dtype=np.int64)
-        states = [RankState(lg, parent[lg.lo:lg.hi]) for lg in self._locals]
         counts = RunCounts(
             num_vertices=graph.num_vertices, num_ranks=np_ranks
         )
         policy = DirectionPolicy(self.config)
-        shared = self._shared_buffers()
         # Union of all previously allgathered in_queues: common knowledge
         # shared by encoder and decoder, which the sieve codec exploits.
         # Only maintained when a non-identity codec is active — the raw
@@ -263,13 +253,15 @@ class BFSEngine:
             res_cfg.store.clear()
         last_ckpt_level = -1
 
+        # The frontier is one array of global ids in owner-major order,
+        # ``frontier_counts[r]`` of them owned by rank ``r``.
         owner = int(self.partition.owner(root))
-        root_local = states[owner].to_local(np.array([root]))
-        states[owner].discover(root_local, np.array([root]))
-        frontier_lists: list[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(np_ranks)
-        ]
-        frontier_lists[owner] = root_local
+        parent[root] = root
+        unexplored = self._rank_degree.copy()
+        unexplored[owner] -= int(self.prepared.degrees[root])
+        frontier = np.array([root], dtype=np.int64)
+        frontier_counts = np.zeros(np_ranks, dtype=np.int64)
+        frontier_counts[owner] = 1
 
         tr = self.tracer
         hp = self.hostprof
@@ -278,7 +270,7 @@ class BFSEngine:
         with tr.span("bfs.run", cat="run", root=root), hp.phase("run"):
             while True:
                 with hp.phase("frontier_stats"):
-                    stats = self._global_stats(states, frontier_lists)
+                    stats = self._global_stats(frontier, unexplored)
                 if stats.frontier_vertices == 0:
                     break
                 if (
@@ -295,8 +287,9 @@ class BFSEngine:
                     last_ckpt_level = level
                     with hp.phase("checkpoint"):
                         self._checkpoint(
-                            level, prev_direction, policy, states,
-                            frontier_lists, visited_words, log,
+                            level, prev_direction, policy, parent,
+                            unexplored, frontier, frontier_counts,
+                            visited_words, log,
                         )
                 if inj is not None:
                     inj.begin_level(level)
@@ -309,9 +302,7 @@ class BFSEngine:
                 lc.switched = (
                     prev_direction is not None and prev_direction != direction
                 )
-                lc.frontier_local = np.array(
-                    [len(lst) for lst in frontier_lists], dtype=np.int64
-                )
+                lc.frontier_local = frontier_counts
 
                 try:
                     with tr.span(
@@ -323,28 +314,29 @@ class BFSEngine:
                         frontier=stats.frontier_vertices,
                     ):
                         if direction == Direction.TOP_DOWN:
-                            frontier_lists = self._top_down_level(
-                                states, parent, frontier_lists, lc
+                            frontier, frontier_counts = self._top_down_level(
+                                parent, unexplored, frontier, lc
                             )
                         else:
-                            frontier_lists = self._bottom_up_level(
-                                states, frontier_lists, lc, shared,
+                            frontier, frontier_counts = self._bottom_up_level(
+                                parent, unexplored, frontier, lc,
                                 visited_words,
                             )
                 except PayloadCorruptionFault as exc:
                     # Checksum mismatch: the gathered frontier is not
                     # trustworthy; nothing durable was mutated yet, so
                     # roll back and replay from the last snapshot.
-                    frontier_lists, level, prev_direction = self._rollback(
-                        "corruption", exc, level, policy, states, counts,
-                        visited_words, log, lost_through=level,
+                    frontier, frontier_counts, level, prev_direction = (
+                        self._rollback(
+                            "corruption", exc, level, policy, parent,
+                            unexplored, counts, visited_words, log,
+                            lost_through=level,
+                        )
                     )
                     last_ckpt_level = level
                     continue
 
-                lc.discovered = np.array(
-                    [len(lst) for lst in frontier_lists], dtype=np.int64
-                )
+                lc.discovered = frontier_counts
                 counts.levels.append(lc)
                 prev_direction = direction
                 level += 1
@@ -356,10 +348,10 @@ class BFSEngine:
                     # replayed from the last snapshot.
                     crash = inj.take_crash(level - 1)
                     if crash is not None:
-                        frontier_lists, level, prev_direction = (
+                        frontier, frontier_counts, level, prev_direction = (
                             self._rollback(
-                                "crash", None, level - 1, policy, states,
-                                counts, visited_words, log,
+                                "crash", None, level - 1, policy, parent,
+                                unexplored, counts, visited_words, log,
                                 lost_through=level - 1, rank=crash.rank,
                             )
                         )
@@ -456,17 +448,23 @@ class BFSEngine:
     # ---- fault tolerance -----------------------------------------------------
 
     def _checkpoint(
-        self, level, prev_direction, policy, states, frontier_lists,
-        visited_words, log,
+        self, level, prev_direction, policy, parent, unexplored, frontier,
+        frontier_counts, visited_words, log,
     ) -> None:
-        """Snapshot the run at a level boundary and price the capture."""
+        """Snapshot the run, split per rank, and price the capture."""
         res_cfg = self.resilience
+        bounds = self.partition.bounds
+        cuts = np.concatenate(([0], np.cumsum(frontier_counts)))
         ckpt = BFSCheckpoint.capture(
             level=level,
             prev_direction=prev_direction,
             policy=policy,
-            states=states,
-            frontier_lists=frontier_lists,
+            parents=np.split(parent, bounds[1:-1]),
+            unexplored=unexplored,
+            frontier_lists=[
+                frontier[cuts[r]:cuts[r + 1]] - bounds[r]
+                for r in range(bounds.size - 1)
+            ],
             visited_words=visited_words,
         )
         with self.tracer.span(
@@ -486,8 +484,8 @@ class BFSEngine:
             )
 
     def _rollback(
-        self, kind, cause, at_level, policy, states, counts, visited_words,
-        log, *, lost_through, rank=None,
+        self, kind, cause, at_level, policy, parent, unexplored, counts,
+        visited_words, log, *, lost_through, rank=None,
     ):
         """Restore the latest snapshot after a fault at ``at_level``.
 
@@ -496,9 +494,9 @@ class BFSEngine:
         level) and logs the lost executions — levels ``ckpt.level``
         through ``lost_through`` inclusive ran once for nothing, so
         :meth:`RecoveryLog.overhead_ns` charges each of them once more at
-        its final price.  Returns ``(frontier_lists, level,
-        prev_direction)`` to resume from; ``visited_words`` is restored
-        in place so live views stay valid.
+        its final price.  Returns ``(frontier, frontier_counts, level,
+        prev_direction)`` to resume from; ``parent``, ``unexplored`` and
+        ``visited_words`` are restored in place so live views stay valid.
         """
         res_cfg = self.resilience
         if res_cfg is None:
@@ -525,9 +523,16 @@ class BFSEngine:
             "recovery.rollback", cat="recovery",
             kind=kind, from_level=at_level, to_level=ckpt.level,
         ):
-            frontier_lists, visited = ckpt.restore(policy, states)
+            bounds = self.partition.bounds
+            lists, unexplored[:], visited = ckpt.restore(
+                policy, np.split(parent, bounds[1:-1])
+            )
             if visited_words is not None and visited is not None:
                 visited_words[:] = visited
+            frontier = np.concatenate(
+                [f + bounds[r] for r, f in enumerate(lists)]
+            )
+            frontier_counts = np.array([f.size for f in lists], dtype=np.int64)
         del counts.levels[ckpt.level:]
         log.replayed_levels.extend(range(ckpt.level, lost_through + 1))
         overhead = res_cfg.cost.restore_ns(ckpt.nbytes, res_cfg.on_disk)
@@ -540,7 +545,7 @@ class BFSEngine:
         )
         if self.metrics is not None:
             self.metrics.counter("recovery.rollbacks_total", kind=kind).inc()
-        return frontier_lists, ckpt.level, ckpt.prev_direction
+        return frontier, frontier_counts, ckpt.level, ckpt.prev_direction
 
     def _exchange(self, op, level, fn):
         """Run one collective with bounded retry on transient faults.
@@ -613,20 +618,13 @@ class BFSEngine:
 
     # ---- level kernels -------------------------------------------------------
 
-    def _top_down_level(
-        self,
-        states: list[RankState],
-        parent: np.ndarray,
-        frontier_lists: list[np.ndarray],
-        lc: LevelCounts,
-    ) -> list[np.ndarray]:
-        bounds = self.partition.bounds
+    # Both level steps write ``parent`` and ``unexplored`` in place and
+    # return the next frontier and its per-rank counts.
+
+    def _top_down_level(self, parent, unexplored, frontier, lc):
         tr = self.tracer
         hp = self.hostprof
         with tr.span("phase.td_expand", cat="phase"), hp.phase("td_expand"):
-            frontier = np.concatenate(
-                [lst + bounds[r] for r, lst in enumerate(frontier_lists)]
-            )
             out = topdown.expand(
                 self.graph, self.partition, frontier, [frontier.size],
                 tracer=tr,
@@ -644,52 +642,41 @@ class BFSEngine:
                 parent[None], [0], *res.data, self.prepared.degrees,
                 tracer=tr,
             )
-            cuts = np.concatenate(([0], np.cumsum(found.counts[0])))
-            new_lists = []
-            for r, st in enumerate(states):
-                st.unexplored_degree -= int(found.degree[0, r])
-                new_lists.append(
-                    found.vertices[cuts[r]:cuts[r + 1]] - bounds[r]
-                )
-        return new_lists
+            unexplored -= found.degree[0]
+        return found.vertices, found.counts[0]
 
     def _bottom_up_level(
-        self,
-        states: list[RankState],
-        frontier_lists: list[np.ndarray],
-        lc: LevelCounts,
-        shared: list[NodeSharedBuffer] | None,
-        visited_words: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
+        self, parent, unexplored, frontier, lc, visited_words=None
+    ):
         np_ranks = self.mapping.num_ranks
         n = self.graph.num_vertices
-        parts = self._frontier_parts(frontier_lists)
-        lc.inq_part_words = max((p.size for p in parts), default=0)
+        # The out_queue parts: word-aligned per-rank views of one
+        # full-graph frontier bitmap.
+        frontier_words = np.zeros(
+            bitops.words_for_bits(n), dtype=bitops.WORD_DTYPE
+        )
+        bitops.set_bits(frontier_words, frontier)
+        parts = [frontier_words[s] for s in self._word_slices]
+        lc.inq_part_words = self._max_part_words
         if self.config.use_summary:
             summary_words = summary_words_for(n, self.config.granularity)
             lc.summary_part_words = summary_words / np_ranks
 
         visited_parts = None
         if self.codec is not None and visited_words is not None:
-            visited_parts = [
-                visited_words[self._word_starts[r]:self._word_starts[r + 1]]
-                for r in range(np_ranks)
-            ]
+            visited_parts = [visited_words[s] for s in self._word_slices]
         tr = self.tracer
         hp = self.hostprof
         verify = (
             self.resilience is not None and self.resilience.verify_checksums
         )
         if verify:
-            # Sender-side checksum, folded per rank: the gathered
-            # concatenation must reproduce it exactly (codecs are
-            # lossless), so any in-flight bit flip is caught here before
-            # a single byte of it reaches engine state.
-            exp_x, exp_s = 0, 0
-            for p in parts:
-                x, s = words_checksum(p)
-                exp_x ^= x
-                exp_s = (exp_s + s) % (1 << 64)
+            # Sender-side checksum (the per-rank parts' checksums fold
+            # into the whole bitmap's): the gathered concatenation must
+            # reproduce it exactly (codecs are lossless), so any
+            # in-flight bit flip is caught here before a single byte of
+            # it reaches engine state.
+            exp_x, exp_s = words_checksum(frontier_words)
         with tr.span("phase.bu_allgather", cat="phase"), hp.phase(
             "bu_allgather"
         ):
@@ -697,7 +684,7 @@ class BFSEngine:
                 "allgather", lc.level,
                 lambda: allgather(
                     self.comm, parts, self.config.in_queue_algorithm(),
-                    shared,
+                    self._shared,
                     codec=self.codec,
                     visited_parts=visited_parts,
                     subgroups=self.config.comm.subgroups,
@@ -707,10 +694,11 @@ class BFSEngine:
         lc.inq_raw_total_bytes = res.raw_bytes
         lc.inq_wire_total_bytes = res.wire_bytes
         lc.inq_wire_part_bytes = res.wire_part_bytes
-        if shared is not None:
-            full_words = shared[0].data
-        else:
-            full_words = res.data
+        # Shared-family algorithms deliver into the node buffers; every
+        # other algorithm returns the gathered array itself.
+        full_words = (
+            res.data[0].data if isinstance(res.data, list) else res.data
+        )
         if verify:
             got_x, got_s = words_checksum(full_words)
             self._log.fixed_overhead_ns += self.resilience.cost.checksum_ns(
@@ -759,27 +747,16 @@ class BFSEngine:
                 lc.summary_wire_total_bytes = raw_bytes
                 lc.summary_wire_part_bytes = lc.summary_part_words * 8.0
 
-        new_lists = []
-        cand = np.zeros(np_ranks, dtype=np.int64)
-        examined = np.zeros(np_ranks, dtype=np.int64)
-        inq_reads = np.zeros(np_ranks, dtype=np.int64)
-        gathered = np.zeros(np_ranks, dtype=np.int64)
-        rounds = np.zeros(np_ranks, dtype=np.int64)
+        bounds = self.partition.bounds
         with tr.span("phase.bu_scan", cat="phase"), hp.phase("bu_scan"):
-            for r in range(np_ranks):
-                out = bottomup.scan(
-                    states[r], in_queue, summary,
-                    tracer=tr, rank=r, backend=self.kernel,
-                )
-                cand[r] = out.candidates
-                examined[r] = out.examined_edges
-                inq_reads[r] = out.inqueue_reads
-                gathered[r] = out.gathered_edges
-                rounds[r] = out.chunk_rounds
-                new_lists.append(out.new_local)
-        lc.candidates = cand
-        lc.examined_edges = examined
-        lc.inqueue_reads = inq_reads
+            out = bottomup.scan(
+                self.graph, bounds, parent, in_queue, summary,
+                tracer=tr, backend=self.kernel,
+            )
+        lc.candidates = out.rank_candidates
+        lc.examined_edges = out.rank_examined
+        lc.inqueue_reads = out.rank_inqueue_reads
+        unexplored -= out.rank_degree
         if self.metrics is not None:
             # Per-level active-set diagnostics (never priced): how much
             # adjacency the backend materialized to produce the level's
@@ -787,11 +764,11 @@ class BFSEngine:
             m = self.metrics
             m.counter(
                 "bfs.bu.gathered_edges_total", backend=self.kernel.name
-            ).inc(float(gathered.sum()))
+            ).inc(float(out.gathered_edges))
             m.counter(
                 "bfs.bu.scan_examined_edges_total", backend=self.kernel.name
-            ).inc(float(examined.sum()))
+            ).inc(float(out.examined_edges))
             m.histogram(
                 "bfs.bu.chunk_rounds", backend=self.kernel.name
-            ).observe(float(rounds.max(initial=0)))
-        return new_lists
+            ).observe(float(out.chunk_rounds))
+        return out.vertices, np.diff(np.searchsorted(out.vertices, bounds))

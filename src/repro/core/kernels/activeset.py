@@ -43,6 +43,7 @@ from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
     register_backend,
+    split_by_rank,
 )
 from repro.errors import ConfigError
 from repro.util import bitops
@@ -76,27 +77,21 @@ class ActiveSetBackend(KernelBackend):
             return cls()
         return cls(chunk=config.kernel_chunk)
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
-        """Scan unvisited local vertices in early-exiting chunks."""
-        lg = state.local
-        cand = state.unvisited_local()
+    def bottom_up_scan(
+        self, graph, bounds, parent, in_queue, summary
+    ) -> BottomUpResult:
+        """Scan every rank's unvisited vertices in early-exiting chunks."""
+        cand = np.flatnonzero((parent < 0) & (np.diff(graph.offsets) > 0))
         ncand = int(cand.size)
-        if ncand == 0:
-            return BottomUpResult(
-                new_local=np.zeros(0, dtype=np.int64),
-                candidates=0,
-                examined_edges=0,
-                inqueue_reads=0,
-            )
-
-        starts = lg.offsets[cand]
-        degs = (lg.offsets[cand + 1] - starts).astype(np.int64)
+        starts = graph.offsets[cand]
+        degs = (graph.offsets[cand + 1] - starts).astype(np.int64)
         last = starts + degs - 1  # clamp target for row padding
 
         found = np.zeros(ncand, dtype=bool)
         first_parent = np.empty(ncand, dtype=np.int64)
-        examined_total = 0
-        inqueue_reads = 0
+        # Per-candidate early-exit counts, summed per rank at the end.
+        examined = np.zeros(ncand, dtype=np.int64)
+        reads = np.zeros(ncand, dtype=np.int64)
         gathered = 0
         rounds = 0
 
@@ -116,7 +111,7 @@ class ActiveSetBackend(KernelBackend):
             pos = done[:, None] + col[None, :]
             pos += starts[active][:, None]
             np.minimum(pos, last[active][:, None], out=pos)
-            neighbors = lg.targets[pos]
+            neighbors = graph.targets[pos]
             row_len = np.minimum(rem, w)  # real (unpadded) cells per row
             gathered += int(row_len.sum())
 
@@ -144,20 +139,19 @@ class ActiveSetBackend(KernelBackend):
             # Early-exit count within this chunk: hit position inclusive,
             # or every real cell when the whole row missed.
             cnt = np.where(has_hit, first_rel + 1, row_len)
-            examined_total += int(cnt.sum())
+            examined[active] += cnt
             if summary is None:
                 # Every examined edge reads in_queue directly.
-                inqueue_reads += int(cnt.sum())
+                reads[active] += cnt
             else:
                 # Summary-filtered reads within each early-exit prefix —
                 # the same per-edge predicate as the reference accounting,
                 # restricted to this chunk's slice of the prefix.  The
                 # prefix mask also excludes padded cells (cnt <= row_len).
                 within_prefix = col[None, :] < cnt[:, None]
-                inqueue_reads += int(
-                    np.count_nonzero(
-                        summary_hits.reshape(neighbors.shape) & within_prefix
-                    )
+                reads[active] += np.count_nonzero(
+                    summary_hits.reshape(neighbors.shape) & within_prefix,
+                    axis=1,
                 )
 
             rows = np.flatnonzero(has_hit)
@@ -170,19 +164,9 @@ class ActiveSetBackend(KernelBackend):
             active = active[live]
             width = min(width * 2, self.MAX_CHUNK)
 
-        new_local = cand[found]
-        parents = first_parent[found]
-        discovered = state.discover(new_local, parents)
-        if discovered.size != new_local.size:  # pragma: no cover - invariant
-            raise AssertionError("bottom-up rediscovered a visited vertex")
-
-        return BottomUpResult(
-            new_local=new_local,
-            candidates=ncand,
-            examined_edges=examined_total,
-            inqueue_reads=inqueue_reads,
-            gathered_edges=gathered,
-            chunk_rounds=rounds,
+        return split_by_rank(
+            bounds, parent, cand, degs, found, first_parent[found],
+            examined, reads, gathered, rounds,
         )
 
     def bottom_up_scan_batch(

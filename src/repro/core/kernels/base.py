@@ -12,7 +12,8 @@ What backends may differ in is how much temporary memory and how many
 bitmap probes they spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the scan's
-result dataclass and the backend registry.
+result dataclass, the per-rank split the numpy backends share and the
+backend registry.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
     from repro.core.config import BFSConfig
     from repro.core.kernels.batched import LaneScanResult
-    from repro.core.state import RankState
     from repro.graph.partition import LocalGraph
+    from repro.graph.types import Graph
 
 __all__ = [
     "BottomUpResult",
@@ -45,24 +46,75 @@ __all__ = [
 
 @dataclass
 class BottomUpResult:
-    """Outcome of one rank's bottom-up scan.
+    """Outcome of one bottom-up scan over every rank's partition.
 
-    The first four fields are the paper's accounting and must be
-    backend-invariant; the last two are backend diagnostics (how much
-    work the kernel *materialized* to produce those counts) and are never
-    priced.
+    The discoveries and the per-rank ``(P,)`` arrays are the paper's
+    accounting and must be backend-invariant; the last two fields are
+    backend diagnostics (how much work the kernel *materialized* to
+    produce those counts) and are never priced.
     """
 
-    new_local: np.ndarray  # newly discovered local vertex ids
-    candidates: int
-    examined_edges: int
-    inqueue_reads: int
+    #: Newly discovered global vertex ids, ascending — the sequential
+    #: rank-major discovery order, partitions being ascending ranges.
+    vertices: np.ndarray
+    rank_candidates: np.ndarray
+    rank_examined: np.ndarray
+    rank_inqueue_reads: np.ndarray
+    #: Summed degree of each rank's discoveries (maintains the hybrid
+    #: policy's unexplored-edge count).
+    rank_degree: np.ndarray
     # Diagnostics: edges actually gathered/tested by the kernel and the
     # number of wavefront rounds it took.  The reference backend gathers
     # the full candidate adjacency in one round; the active-set backend
     # gathers roughly the examined prefix over a few rounds.
     gathered_edges: int = 0
     chunk_rounds: int = 0
+
+    @property
+    def candidates(self) -> int:
+        """Unvisited vertices with at least one edge, all ranks."""
+        return int(self.rank_candidates.sum())
+
+    @property
+    def examined_edges(self) -> int:
+        """Edges the early-exiting scans touched, all ranks."""
+        return int(self.rank_examined.sum())
+
+    @property
+    def inqueue_reads(self) -> int:
+        """Examined edges that read ``in_queue``, all ranks."""
+        return int(self.rank_inqueue_reads.sum())
+
+
+def split_by_rank(
+    bounds, parent, cand, degs, found, parents, examined, reads,
+    gathered, rounds,
+) -> BottomUpResult:
+    """Apply a vectorized scan's per-candidate outcome and sum it per rank.
+
+    The candidates ``cand`` are the undiscovered vertices with edges,
+    ascending, of degrees ``degs``; ``found`` marks those with a
+    frontier neighbour and ``parents`` holds those neighbours, in
+    candidate order; ``examined``/``reads`` are per-candidate counts.
+    Writes the discoveries into ``parent``.
+    """
+    vertices = cand[found]
+    parent[vertices] = parents
+    cuts = np.searchsorted(cand, bounds)
+
+    def per_rank(values):
+        csum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        return np.diff(csum[cuts])
+
+    return BottomUpResult(
+        vertices=vertices,
+        rank_candidates=np.diff(cuts),
+        rank_examined=per_rank(examined),
+        rank_inqueue_reads=per_rank(reads),
+        rank_degree=per_rank(np.where(found, degs, 0)),
+        gathered_edges=int(gathered),
+        chunk_rounds=int(rounds),
+    )
 
 
 class KernelBackend(abc.ABC):
@@ -95,16 +147,21 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def bottom_up_scan(
         self,
-        state: "RankState",
+        graph: "Graph",
+        bounds: np.ndarray,
+        parent: np.ndarray,
         in_queue: "Bitmap",
         summary: "SummaryBitmap | None",
     ) -> BottomUpResult:
-        """Scan unvisited local vertices against the frontier bitmap.
+        """Scan every rank's unvisited vertices against the frontier bitmap.
 
-        Must discover exactly the candidates with a frontier neighbour,
-        assign each its *first* frontier neighbour as parent, and return
-        the Section II.B.2 counts bit-identically to the reference
-        backend.
+        ``graph`` is the global CSR and rank ``r`` owns vertices
+        ``[bounds[r], bounds[r + 1])``; ``parent`` is the global parent
+        array (-1 = undiscovered), written in place.  Must discover
+        exactly the candidates with a frontier neighbour, assign each
+        its *first* frontier neighbour (CSR order) as parent, and return
+        the per-rank Section II.B.2 counts bit-identically to the
+        reference backend.
         """
 
     def bottom_up_scan_batch(

@@ -26,6 +26,7 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.cnative import build
 from repro.core.kernels.cnative.build import _i64, _u64
+from repro.errors import SimulationError
 
 __all__ = ["CNativeBackend", "build"]
 
@@ -42,24 +43,38 @@ class CNativeBackend(KernelBackend):
         """Delegate to the build machinery's (memoized) probe."""
         return build.availability()
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
+    def bottom_up_scan(
+        self, graph, bounds, parent, in_queue, summary
+    ) -> BottomUpResult:
         """Scan with the native fused loop (one C call per level).
 
         Candidate selection, the early-exit walk and the discovery
-        writes all happen inside the C pass, directly on
-        ``state.parent`` (zero-copy); only the ``unexplored_degree``
-        bookkeeping — returned as a counter — is applied here.
+        writes all happen inside the C pass, rank range after rank
+        range, directly on ``parent`` (zero-copy).
         """
-        lib = build.load_library()
-        lg = state.local
-        nlocal = int(lg.num_local_vertices)
-
+        n = int(graph.num_vertices)
         # Keep every buffer referenced in a local for the call's duration.
-        offsets = np.ascontiguousarray(lg.offsets, dtype=np.int64)
-        targets = np.ascontiguousarray(lg.targets, dtype=np.int64)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        # The C loop trusts these: it reads parent[u] and offsets[u + 1]
+        # for every u in the rank ranges and writes parent in place.
+        if (
+            parent.dtype != np.int64
+            or not parent.flags.c_contiguous
+            or parent.shape != (n,)
+            or bounds.size < 1
+            or bounds[0] < 0
+            or bounds[-1] > n
+            or np.any(np.diff(bounds) < 0)
+        ):
+            raise SimulationError(
+                "bottom_up_scan needs a C-contiguous int64 parent array of "
+                "one entry per vertex and non-decreasing bounds within "
+                f"[0, {n}]"
+            )
+        lib = build.load_library()
+        offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
+        targets = np.ascontiguousarray(graph.targets, dtype=np.int64)
         inq_words = np.ascontiguousarray(in_queue.words, dtype=np.uint64)
-        parent = state.parent
-        assert parent.dtype == np.int64 and parent.flags.c_contiguous
         if summary is None:
             summary_words, summary_ptr, granularity = None, None, 0
         else:
@@ -68,21 +83,21 @@ class CNativeBackend(KernelBackend):
             )
             summary_ptr = _u64(summary_words)
             granularity = int(summary.granularity)
-        out_new = np.empty(nlocal, dtype=np.int64)
-        counts = np.zeros(4, dtype=np.int64)
+        nranks = bounds.size - 1
+        out_new = np.empty(n, dtype=np.int64)
+        counts = np.empty((4, nranks), dtype=np.int64)
 
         nfound = lib.repro_bu_scan(
-            nlocal, _i64(offsets), _i64(targets),
+            nranks, _i64(bounds), _i64(offsets), _i64(targets),
             _u64(inq_words), summary_ptr, granularity,
             _i64(parent), _i64(out_new), _i64(counts),
         )
-        state.unexplored_degree -= int(counts[3])
-
         return BottomUpResult(
-            new_local=out_new[:nfound],
-            candidates=int(counts[0]),
-            examined_edges=int(counts[1]),
-            inqueue_reads=int(counts[2]),
+            vertices=out_new[:nfound],
+            rank_candidates=counts[0],
+            rank_examined=counts[1],
+            rank_inqueue_reads=counts[2],
+            rank_degree=counts[3],
             # The native loop materializes nothing: it reads the CSR in
             # place and retires candidates inline, in one pass.
             gathered_edges=0,

@@ -12,9 +12,8 @@
  *   - vertex ids, CSR offsets and counters are int64;
  *   - bitmaps are little-endian-within-word uint64 arrays: bit i lives
  *     at word i>>6, position i&63 (util/bitops.py);
- *   - `offsets` is the rank-local CSR (rebased so offsets[0] == 0) and
- *     `targets` holds *global* neighbour ids, exactly as LocalGraph
- *     stores them;
+ *   - `offsets`/`targets` are the global CSR (Graph.offsets/targets);
+ *     rank partitions are contiguous vertex ranges of it;
  *   - a summary bit covers `granularity` base bits and is set iff any
  *     of them is set, so a zero summary bit proves an in_queue miss
  *     without reading the base bitmap (Section III.C).
@@ -36,17 +35,19 @@
 #endif
 #define PREFETCH_AHEAD 32
 
-/* Bottom-up scan over the whole local vertex range, discovery included.
+/* Bottom-up scan over every rank's vertex range, discovery included.
  *
- * Candidate selection (parent < 0 and degree > 0 — exactly
- * RankState.unvisited_local), the early-exit adjacency walk, *and* the
- * state update are fused into one pass so the Python side does no
- * per-level O(n) work at all.  For each candidate (ascending local id)
- * the adjacency is walked in CSR order until the first neighbour whose
- * in_queue bit is set; that neighbour is written into parent[] and the
- * candidate retires.  Writing parent during the scan cannot perturb
- * later candidates: the walk only reads the frontier bitmaps, never
- * parent, and candidates are visited in ascending order exactly once.
+ * Rank r owns global vertices [bounds[r], bounds[r+1]) of one global
+ * CSR (`offsets`, `targets`); the ranks are scanned in order, so one
+ * call runs the whole level.  Per rank, candidate selection (parent < 0
+ * and degree > 0), the early-exit adjacency walk, *and* the state
+ * update are fused into one pass so the Python side does no per-level
+ * O(n) work at all.  For each candidate (ascending id) the adjacency is
+ * walked in CSR order until the first neighbour whose in_queue bit is
+ * set; that neighbour is written into parent[] and the candidate
+ * retires.  Writing parent during the scan cannot perturb later
+ * candidates: the walk only reads the frontier bitmaps, never parent,
+ * and candidates are visited in ascending order exactly once.
  *
  * Accounting (identical to the reference backend): every edge of the
  * walked prefix counts as examined; an edge falls through to an
@@ -54,15 +55,17 @@
  * its summary block is non-empty — a zero summary block covers the
  * base bitmap, so skipping the read can never hide a hit.
  *
- * Outputs: out_new[k] = local id of the k-th discovery (ascending, the
- * discovery order), parent[out_new[k]] its global parent id,
- * out_counts = {candidates, examined_edges, inqueue_reads,
- * discovered_degree_sum} (the last maintains unexplored_degree).
- * Returns the number of discoveries.  out_new needs capacity nlocal.
- * summary_words may be NULL (granularity is then ignored).
+ * Outputs: out_new[k] = global id of the k-th discovery (ascending, the
+ * discovery order), parent[out_new[k]] its global parent id, and
+ * out_counts a row-major (4, nranks) array: per rank {candidates,
+ * examined_edges, inqueue_reads, discovered_degree_sum} (the last
+ * maintains the unexplored-edge count).  Returns the number of
+ * discoveries.  out_new needs capacity bounds[nranks].  summary_words
+ * may be NULL (granularity is then ignored).
  */
 int64_t repro_bu_scan(
-    int64_t nlocal,
+    int64_t nranks,
+    const int64_t *bounds,
     const int64_t *offsets,
     const int64_t *targets,
     const uint64_t *inq_words,
@@ -72,11 +75,7 @@ int64_t repro_bu_scan(
     int64_t *out_new,
     int64_t *out_counts)
 {
-    int64_t candidates = 0;
-    int64_t examined = 0;
-    int64_t reads = 0;
     int64_t nfound = 0;
-    int64_t deg_sum = 0;
 
     /* Hoist the per-edge v / granularity: granularities are typically
      * powers of two (64, 256, ...), where a shift replaces the int64
@@ -94,46 +93,53 @@ int64_t repro_bu_scan(
             shift = s;
     }
 
-    /* Pass 1: compact the candidate ids into out_new, branchlessly —
-     * the visited pattern is effectively random mid-BFS, so a skip
-     * branch here would mispredict tens of thousands of times.  The
-     * scan pass below overwrites out_new in place with the discoveries;
-     * that is safe because nfound can never pass the read cursor. */
-    int64_t ncand = 0;
-    for (int64_t u = 0; u < nlocal; u++) {
-        out_new[ncand] = u;
-        ncand += (parent[u] < 0) & (offsets[u + 1] > offsets[u]);
-    }
-    candidates = ncand;
+    for (int64_t r = 0; r < nranks; r++) {
+        int64_t examined = 0;
+        int64_t reads = 0;
+        int64_t deg_sum = 0;
+        /* This rank's candidates and discoveries both live in
+         * out_new[base...]: discoveries overwrite candidates in place,
+         * which is safe because nfound never passes the read cursor. */
+        int64_t *cand = out_new + nfound;
 
-    /* Pass 2: early-exit scan of each candidate's adjacency. */
-    for (int64_t i = 0; i < ncand; i++) {
-        if (i + PREFETCH_AHEAD < ncand)
-            PREFETCH_READ(&targets[offsets[out_new[i + PREFETCH_AHEAD]]]);
-        const int64_t u = out_new[i];
-        const int64_t start = offsets[u];
-        const int64_t end = offsets[u + 1];
-        for (int64_t e = start; e < end; e++) {
-            const int64_t v = targets[e];
-            examined++;
-            if (summary_words != 0) {
-                const int64_t block =
-                    shift >= 0 ? (v >> shift) : (v / granularity);
-                if (!TEST_BIT(summary_words, block))
-                    continue; /* empty block: proven miss, no read */
-            }
-            reads++;
-            if (TEST_BIT(inq_words, v)) {
-                parent[u] = v;
-                out_new[nfound++] = u;
-                deg_sum += end - start;
-                break;
+        /* Pass 1: compact the candidate ids, branchlessly — the visited
+         * pattern is effectively random mid-BFS, so a skip branch here
+         * would mispredict tens of thousands of times. */
+        int64_t ncand = 0;
+        for (int64_t u = bounds[r]; u < bounds[r + 1]; u++) {
+            cand[ncand] = u;
+            ncand += (parent[u] < 0) & (offsets[u + 1] > offsets[u]);
+        }
+
+        /* Pass 2: early-exit scan of each candidate's adjacency. */
+        for (int64_t i = 0; i < ncand; i++) {
+            if (i + PREFETCH_AHEAD < ncand)
+                PREFETCH_READ(&targets[offsets[cand[i + PREFETCH_AHEAD]]]);
+            const int64_t u = cand[i];
+            const int64_t start = offsets[u];
+            const int64_t end = offsets[u + 1];
+            for (int64_t e = start; e < end; e++) {
+                const int64_t v = targets[e];
+                examined++;
+                if (summary_words != 0) {
+                    const int64_t block =
+                        shift >= 0 ? (v >> shift) : (v / granularity);
+                    if (!TEST_BIT(summary_words, block))
+                        continue; /* empty block: proven miss, no read */
+                }
+                reads++;
+                if (TEST_BIT(inq_words, v)) {
+                    parent[u] = v;
+                    out_new[nfound++] = u;
+                    deg_sum += end - start;
+                    break;
+                }
             }
         }
+        out_counts[r] = ncand;
+        out_counts[nranks + r] = examined;
+        out_counts[2 * nranks + r] = reads;
+        out_counts[3 * nranks + r] = deg_sum;
     }
-    out_counts[0] = candidates;
-    out_counts[1] = examined;
-    out_counts[2] = reads;
-    out_counts[3] = deg_sum;
     return nfound;
 }

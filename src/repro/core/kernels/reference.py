@@ -18,6 +18,7 @@ from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
     register_backend,
+    split_by_rank,
 )
 from repro.util.segments import gather_adjacency, segment_first_true_and_counts
 
@@ -30,52 +31,38 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
+    def bottom_up_scan(
+        self, graph, bounds, parent, in_queue, summary
+    ) -> BottomUpResult:
         """Scan by materializing every candidate's full adjacency at once."""
-        lg = state.local
-        cand = state.unvisited_local()
-        if cand.size == 0:
-            return BottomUpResult(
-                new_local=np.zeros(0, dtype=np.int64),
-                candidates=0,
-                examined_edges=0,
-                inqueue_reads=0,
-            )
-
-        gather = gather_adjacency(lg.offsets, cand)
+        cand = np.flatnonzero((parent < 0) & (np.diff(graph.offsets) > 0))
+        gather = gather_adjacency(graph.offsets, cand)
         total = int(gather.seg_offsets[-1])
-        neighbors = lg.targets[gather.pos]
+        neighbors = graph.targets[gather.pos]
 
         hits = in_queue.test(neighbors)
         first, examined = segment_first_true_and_counts(
             hits, gather.seg_offsets
         )
-
         found = first >= 0
-        new_local = cand[found]
-        parents = neighbors[first[found]]
-        discovered = state.discover(new_local, parents)
-        if discovered.size != new_local.size:  # pragma: no cover - invariant
-            raise AssertionError("bottom-up rediscovered a visited vertex")
 
-        examined_total = int(examined.sum())
         if summary is None:
             # Without the summary structure every examined edge reads in_queue.
-            inqueue_reads = examined_total
+            reads = examined
         else:
             # Edges inside the early-exit prefix whose summary block is
             # non-empty: only those fall through to the in_queue word read.
             within_prefix = gather.rel < np.repeat(examined, gather.lens)
             summary_hits = summary.test_vertices(neighbors)
-            inqueue_reads = int(np.count_nonzero(within_prefix & summary_hits))
+            csum = np.concatenate(
+                ([0], np.cumsum(within_prefix & summary_hits))
+            )
+            reads = np.diff(csum[gather.seg_offsets])
 
-        return BottomUpResult(
-            new_local=new_local,
-            candidates=int(cand.size),
-            examined_edges=examined_total,
-            inqueue_reads=inqueue_reads,
-            gathered_edges=total,
-            chunk_rounds=1 if total else 0,
+        return split_by_rank(
+            bounds, parent, cand, gather.lens, found,
+            neighbors[first[found]], examined, reads,
+            gathered=total, rounds=1 if total else 0,
         )
 
     def bottom_up_scan_batch(

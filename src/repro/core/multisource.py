@@ -189,16 +189,11 @@ class MultiSourceEngine:
 
         np_ranks = eng.mapping.num_ranks
         partition = eng.partition
-        bounds = partition.bounds
         degrees = eng.prepared.degrees
         config = eng.config
 
         parent = np.full((num, n), -1, dtype=np.int64)
-        deg_csum = np.concatenate(
-            [[0], np.cumsum(degrees, dtype=np.int64)]
-        )
-        rank_deg = deg_csum[bounds[1:]] - deg_csum[bounds[:-1]]
-        unexplored = np.tile(rank_deg, (num, 1))
+        unexplored = np.tile(eng._rank_degree, (num, 1))
 
         frontiers: list[np.ndarray] = []
         for s, root in enumerate(roots):
@@ -350,7 +345,6 @@ class MultiSourceEngine:
         np_ranks = eng.mapping.num_ranks
         degrees = eng.prepared.degrees
         config = eng.config
-        word_starts = eng._word_starts
         granularity = config.granularity
         use_summary = config.use_summary
         B = len(bu)
@@ -360,7 +354,6 @@ class MultiSourceEngine:
             summary_words = summary_words_for(n, granularity)
             nblocks = -(-n // granularity)
             sum_bools = np.zeros((B, nblocks), dtype=bool)
-        max_part_words = int(np.diff(word_starts).max(initial=0))
 
         for b, s in enumerate(bu):
             lc = lcs[s]
@@ -372,7 +365,7 @@ class MultiSourceEngine:
                 bitops.words_for_bits(n), dtype=bitops.WORD_DTYPE
             )
             bitops.set_bits(fwords, f)
-            lc.inq_part_words = max_part_words
+            lc.inq_part_words = eng._max_part_words
             if use_summary:
                 lc.summary_part_words = summary_words / np_ranks
 
@@ -389,16 +382,11 @@ class MultiSourceEngine:
                 lc.inq_wire_part_bytes = lc.inq_part_words * 8.0
                 full_words = fwords
             else:
-                parts = [
-                    fwords[word_starts[r]:word_starts[r + 1]]
-                    for r in range(np_ranks)
-                ]
+                parts = [fwords[w] for w in eng._word_slices]
                 visited_parts = None
                 if visited_words is not None:
-                    row = visited_words[s]
                     visited_parts = [
-                        row[word_starts[r]:word_starts[r + 1]]
-                        for r in range(np_ranks)
+                        visited_words[s, w] for w in eng._word_slices
                     ]
                 res = allgather(
                     eng.comm, parts, config.in_queue_algorithm(), shared,
@@ -411,7 +399,9 @@ class MultiSourceEngine:
                 lc.inq_wire_total_bytes = res.wire_bytes
                 lc.inq_wire_part_bytes = res.wire_part_bytes
                 full_words = (
-                    shared[0].data if shared is not None else res.data
+                    res.data[0].data
+                    if isinstance(res.data, list)
+                    else res.data
                 ).copy()
                 if visited_words is not None:
                     np.bitwise_or(

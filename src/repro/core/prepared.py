@@ -1,9 +1,9 @@
 """Immutable prepared-graph state shared across BFS queries.
 
 ``BFSEngine.__init__`` historically rebuilt the expensive per-run
-structures — the 1-D partition, the per-rank CSR extractions, the bitmap
-word layout — for every engine, which a serving layer answering many
-queries against the same graph cannot afford.  :class:`PreparedGraph`
+structures — the 1-D partition and the degree array — for every
+engine, which a serving layer answering many queries against the same
+graph cannot afford.  :class:`PreparedGraph`
 splits that build work out into an immutable, shareable product keyed by
 the *partition-relevant* slice of the configuration:
 
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.partition import (
-    LocalGraph,
     Partition1D,
     degree_balanced_bounds,
     word_aligned_bounds,
@@ -43,7 +42,6 @@ from repro.graph.partition import (
 from repro.graph.types import Graph
 from repro.machine.spec import ClusterSpec
 from repro.mpi.mapping import BindingPolicy, ProcessMapping
-from repro.util import bitops
 
 __all__ = [
     "PreparedGraph",
@@ -98,8 +96,9 @@ class PreparedGraph:
 
     Instances are immutable and safe to share across engines, threads
     and concurrent queries: the contained numpy arrays are never written
-    after construction (per-query state lives on
-    :class:`~repro.core.state.RankState`).
+    after construction (per-query state lives in the engine's run).
+    Ranks own contiguous vertex ranges of the one global CSR, so no
+    per-rank copy of the graph is kept.
     """
 
     graph: Graph
@@ -109,12 +108,6 @@ class PreparedGraph:
     degree_balanced: bool
     mapping: ProcessMapping = field(repr=False)
     partition: Partition1D = field(repr=False)
-    locals: tuple[LocalGraph, ...] = field(repr=False)
-    #: Words per rank's bitmap slice, index-aligned with ``locals``.
-    part_words: tuple[int, ...] = field(repr=False)
-    #: Word offset of each rank's slice in the concatenated bitmap
-    #: (bounds are 64-aligned, so the slices tile exactly).
-    word_starts: np.ndarray = field(repr=False)
     #: Global degree array (``np.diff(graph.offsets)``).
     degrees: np.ndarray = field(repr=False)
 
@@ -140,17 +133,6 @@ class PreparedGraph:
         else:
             bounds = word_aligned_bounds(n, np_ranks)
         partition = Partition1D(n, np_ranks, bounds=bounds)
-        locals_ = tuple(
-            partition.extract_local(graph, r) for r in range(np_ranks)
-        )
-        part_words = tuple(
-            bitops.words_for_bits(partition.size_of(r))
-            for r in range(np_ranks)
-        )
-        word_starts = np.concatenate(([0], np.cumsum(part_words))).astype(
-            np.int64
-        )
-        word_starts.flags.writeable = False
         degrees = np.diff(graph.offsets)
         return cls(
             graph=graph,
@@ -160,9 +142,6 @@ class PreparedGraph:
             degree_balanced=config.degree_balanced,
             mapping=mapping,
             partition=partition,
-            locals=locals_,
-            part_words=part_words,
-            word_starts=word_starts,
             degrees=degrees,
         )
 
@@ -179,21 +158,15 @@ class PreparedGraph:
     def nbytes(self) -> int:
         """Estimated resident bytes of the partition state.
 
-        Sums the numpy arrays this object *owns* — the per-rank CSR
-        extractions, partition bounds, word layout, degrees — but not
-        the input graph, which the caller holds regardless of caching.
+        Sums the numpy arrays this object *owns* — partition bounds
+        and owner map, degrees — but not the input graph, which the caller holds regardless of caching.
         Used by :class:`PreparedGraphCache`'s optional byte bound.
         """
-        total = int(self.word_starts.nbytes) + int(self.degrees.nbytes)
-        for obj in (self.partition, *self.locals):
-            attrs = getattr(obj, "__dict__", None) or {
-                f: getattr(obj, f, None)
-                for f in getattr(obj, "__dataclass_fields__", ())
-            }
-            for value in attrs.values():
-                nb = getattr(value, "nbytes", None)
-                if nb is not None:
-                    total += int(nb)
+        total = int(self.degrees.nbytes)
+        for value in vars(self.partition).values():
+            nb = getattr(value, "nbytes", None)
+            if nb is not None:
+                total += int(nb)
         return total
 
     def check(self, graph: Graph, cluster: ClusterSpec, config) -> None:

@@ -1,4 +1,4 @@
-"""Per-rank mutable BFS state."""
+"""Per-rank mutable BFS state of the 2-D engine (:mod:`repro.core.twod`)."""
 
 from __future__ import annotations
 
@@ -19,22 +19,14 @@ class RankState:
     local: LocalGraph
     # parent[i] is the global parent id of local vertex (lo + i); -1 while
     # undiscovered; the root is its own parent (Graph500 convention).
-    # The engine passes its slice of one run-wide parent array, so the
-    # shared top-down step writes every rank's parents at once; without
-    # one the state allocates its own.
-    parent: np.ndarray | None = None
-    # Sum of degrees of still-undiscovered local vertices; used by the
-    # hybrid policy (m_u of Beamer's alpha test), maintained decrementally.
-    unexplored_degree: int = field(init=False)
+    parent: np.ndarray = field(init=False)
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.parent is None:
-            self.parent = np.full(
-                self.local.num_local_vertices, -1, dtype=np.int64
-            )
+        self.parent = np.full(
+            self.local.num_local_vertices, -1, dtype=np.int64
+        )
         self.degrees = np.diff(self.local.offsets)
-        self.unexplored_degree = int(self.degrees.sum())
 
     @property
     def rank(self) -> int:
@@ -72,12 +64,7 @@ class RankState:
             fresh &= first_occurrence
         ids = local_ids[fresh]
         self.parent[ids] = parents[fresh]
-        self.unexplored_degree -= int(self.degrees[ids].sum())
         return ids
-
-    def unvisited_local(self) -> np.ndarray:
-        """Local ids of undiscovered vertices with at least one edge."""
-        return np.flatnonzero((self.parent < 0) & (self.degrees > 0))
 
     def visited_count(self) -> int:
         """Number of discovered local vertices."""

@@ -72,18 +72,20 @@ class BFSCheckpoint:
         level: int,
         prev_direction: str | None,
         policy,
-        states,
+        parents: list[np.ndarray],
+        unexplored,
         frontier_lists: list[np.ndarray],
         visited_words: np.ndarray | None,
     ) -> "BFSCheckpoint":
-        """Deep-copy the engine's mutable state at a level boundary."""
+        """Deep-copy the engine's per-rank state at a level boundary
+        (frontiers as local ids)."""
         return cls(
             level=int(level),
             prev_direction=prev_direction,
             policy_direction=str(policy._direction),
             policy_finished_bottom_up=bool(policy._finished_bottom_up),
-            parents=[st.parent.copy() for st in states],
-            unexplored=[int(st.unexplored_degree) for st in states],
+            parents=[p.copy() for p in parents],
+            unexplored=[int(u) for u in unexplored],
             frontier_lists=[
                 np.array(f, dtype=np.int64, copy=True) for f in frontier_lists
             ],
@@ -92,35 +94,35 @@ class BFSCheckpoint:
             ),
         )
 
-    def restore(self, policy, states) -> tuple[list[np.ndarray], np.ndarray | None]:
+    def restore(
+        self, policy, parents: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[int], np.ndarray | None]:
         """Write this snapshot back into live engine state.
 
-        Mutates ``states`` and ``policy`` in place; returns fresh copies
-        of the frontier lists and visited mask (so the store's copy stays
-        pristine for repeated rollbacks).
+        Writes each rank's slice in ``parents`` and ``policy`` in place;
+        returns fresh copies of the frontier lists, the unexplored-edge
+        counts and the visited mask (so the store's copy stays pristine
+        for repeated rollbacks).
         """
-        if len(states) != len(self.parents):
+        if len(parents) != len(self.parents):
             raise CheckpointError(
                 f"checkpoint captured {len(self.parents)} ranks, engine has "
-                f"{len(states)}",
+                f"{len(parents)}",
                 level=self.level,
             )
-        for st, parent, unexplored in zip(
-            states, self.parents, self.unexplored
-        ):
-            if st.parent.shape != parent.shape:
+        for rank, (live, saved) in enumerate(zip(parents, self.parents)):
+            if live.shape != saved.shape:
                 raise CheckpointError(
                     "checkpoint parent shape mismatch",
-                    rank=st.rank,
+                    rank=rank,
                     level=self.level,
                 )
-            st.parent[:] = parent
-            st.unexplored_degree = int(unexplored)
+            live[:] = saved
         policy._direction = self.policy_direction
         policy._finished_bottom_up = self.policy_finished_bottom_up
         frontier = [f.copy() for f in self.frontier_lists]
         visited = None if self.visited_words is None else self.visited_words.copy()
-        return frontier, visited
+        return frontier, list(self.unexplored), visited
 
     # ---- persistence ------------------------------------------------------
 

@@ -60,14 +60,22 @@ def get_bits(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def set_bits(words: np.ndarray, idx: np.ndarray) -> None:
     """Set (to 1) the bits at positions ``idx`` in place.
 
-    Handles repeated indices correctly via ``np.bitwise_or.at``.
+    Repeated indices are fine.  With at least one index per word the
+    bits are scattered into a boolean array and packed, which is several
+    times faster than ``np.bitwise_or.at``; sparser sets keep the
+    per-index scatter, whose cost does not grow with the bitmap.
     """
     _check_words(words)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
         return
-    masks = np.uint64(1) << (idx & 63).astype(np.uint64)
-    np.bitwise_or.at(words, idx >> 6, masks)
+    if idx.size < words.size:
+        masks = np.uint64(1) << (idx & 63).astype(np.uint64)
+        np.bitwise_or.at(words, idx >> 6, masks)
+        return
+    bits = np.zeros(words.size * WORD_BITS, dtype=bool)
+    bits[idx] = True
+    words |= np.packbits(bits, bitorder="little").view("<u8")
 
 
 def clear_bits(words: np.ndarray, idx: np.ndarray) -> None:

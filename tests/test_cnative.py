@@ -12,13 +12,15 @@ and without a compiler).
 import io
 import json
 
+import numpy as np
 import pytest
 
-from repro.core import BFSConfig, BFSEngine
+from repro.core import BFSConfig, BFSEngine, Bitmap
 from repro.core.kernels import CNativeBackend, get_backend, resolve_backend
 from repro.core.kernels import base as kernels_base
 from repro.core.kernels.cnative import build
-from repro.graph import rmat_graph
+from repro.errors import SimulationError
+from repro.graph import path_graph, rmat_graph
 from repro.machine import paper_cluster
 from repro.obs.log import setup_logging
 
@@ -171,3 +173,22 @@ class TestCacheLifecycle:
             graph, paper_cluster(nodes=1), BFSConfig(kernel="cnative")
         ).run(0)
         assert result.visited > 0
+
+
+class TestBufferChecks:
+    @pytest.mark.parametrize("bounds, parent", [
+        ([0, 4, 9], np.full(8, -1)),  # a range past the last vertex
+        ([0, 6, 4, 8], np.full(8, -1)),  # decreasing bounds
+        ([-1, 8], np.full(8, -1)),
+        ([0, 8], np.full(7, -1)),  # parent shorter than the graph
+        ([0, 8], np.full(8, -1, dtype=np.int32)),
+        ([0, 8], np.full(16, -1)[::2]),  # not contiguous
+    ])
+    def test_rejects_buffers_the_kernel_would_overrun(self, bounds, parent):
+        # Checked before the library loads, so this holds with or
+        # without a toolchain.
+        graph = path_graph(8)
+        with pytest.raises(SimulationError, match="bounds"):
+            CNativeBackend().bottom_up_scan(
+                graph, np.array(bounds), parent, Bitmap(8), None
+            )

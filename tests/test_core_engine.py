@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BFSConfig, BFSEngine, CommConfig, TraversalMode, paper_variants
+from repro.core.config import SharingVariant
 from repro.core.validate import validate_parent_tree
 from repro.errors import ConfigError, GraphError
 from repro.graph import (
@@ -173,6 +174,32 @@ class TestEngineCorrectness:
         for root in roots:
             res = engine.run(int(root))
             validate_parent_tree(g, int(root), res.parent)
+
+    @pytest.mark.parametrize("codec", [None, "sparse-index"])
+    def test_shared_in_queue_with_rank_private_allgather(self, codec):
+        # A node-shared in_queue gathered by a rank-private algorithm:
+        # the gathered frontier comes back as an array, not in the node
+        # buffers, and both engines must read it from there.
+        from repro.core.multisource import MultiSourceEngine
+        from repro.mpi.collectives import AllgatherAlgorithm
+
+        g = rmat_graph(scale=11, seed=1)
+        cluster = paper_cluster(nodes=2)
+        roots = [int(np.argmax(g.degrees())), 7]
+        cfg = BFSConfig(comm=CommConfig(
+            sharing=SharingVariant.IN_QUEUE,
+            allgather=AllgatherAlgorithm.RING,
+            codec=codec,
+        ))
+        expected = reference_levels(g, roots[0])
+        engine = BFSEngine(g, cluster, cfg)
+        for _ in range(2):  # the node buffers persist across runs
+            res = engine.run(roots[0])
+            validate_parent_tree(g, roots[0], res.parent)
+            assert res.visited == int(np.count_nonzero(expected >= 0))
+        batch = MultiSourceEngine(g, cluster, cfg).run_batch(roots)
+        assert np.array_equal(batch[0].parent, res.parent)
+        assert batch[1].visited == engine.run(roots[1]).visited
 
 
 class TestEngineAccounting:

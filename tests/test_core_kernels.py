@@ -1,5 +1,5 @@
-"""Tests for the per-rank BFS kernels (state, top-down, bottom-up) and
-the hybrid direction policy."""
+"""Tests for the BFS kernels (rank state, top-down, bottom-up) and the
+hybrid direction policy."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.core.counts import Direction
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.state import RankState
 from repro.errors import SimulationError
-from repro.graph import Partition1D, path_graph, star_graph
+from repro.graph import Partition1D, path_graph
 from repro.graph.generators import cycle_graph
 
 
@@ -32,20 +32,6 @@ class TestRankState:
         new = st.discover(np.array([2]), np.array([3]))
         assert new.size == 0
         assert st.parent[2] == 1
-
-    def test_unexplored_degree_tracked(self):
-        g = star_graph(5)
-        st, _ = single_rank_state(g)
-        before = st.unexplored_degree
-        st.discover(np.array([0]), np.array([0]))
-        assert st.unexplored_degree == before - 4
-
-    def test_unvisited_local_excludes_isolated(self):
-        from repro.graph import from_edge_arrays
-
-        g = from_edge_arrays(4, [0], [1])  # vertices 2, 3 isolated
-        st, _ = single_rank_state(g)
-        assert st.unvisited_local().tolist() == [0, 1]
 
     def test_to_local_range_check(self):
         g = path_graph(8)
@@ -113,59 +99,62 @@ class TestTopDown:
         assert (parent == -1).all()
 
 
+def bottom_up(graph, visited, frontier, granularity=None, ranks=1):
+    """One whole-partition bottom-up scan from ``visited`` (their own
+    parents) against ``frontier``; returns ``(result, parent)``."""
+    n = graph.num_vertices
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[visited] = visited
+    inq = Bitmap.from_indices(n, np.asarray(frontier))
+    summary = SummaryBitmap.build(inq, granularity) if granularity else None
+    bounds = Partition1D(n, ranks).bounds
+    return bottomup.scan(graph, bounds, parent, inq, summary), parent
+
+
 class TestBottomUp:
     def setup_method(self):
         # Path 0-1-2-3-4-5, frontier = {2}; unvisited = all but 2.
         self.g = path_graph(6)
-        self.part = Partition1D(6, 1)
-        self.st = RankState(self.part.extract_local(self.g, 0))
-        self.st.discover(np.array([2]), np.array([2]))
-        self.inq = Bitmap.from_indices(6, np.array([2]))
 
     def test_scan_finds_neighbors_of_frontier(self):
-        res = bottomup.scan(self.st, self.inq, None)
-        assert sorted(res.new_local.tolist()) == [1, 3]
-        assert self.st.parent[1] == 2
-        assert self.st.parent[3] == 2
+        res, parent = bottom_up(self.g, [2], [2])
+        assert res.vertices.tolist() == [1, 3]
+        assert parent[1] == 2
+        assert parent[3] == 2
         assert res.candidates == 5  # all unvisited non-isolated
 
     def test_early_exit_examined_counts(self):
-        res = bottomup.scan(self.st, self.inq, None)
+        res, _ = bottom_up(self.g, [2], [2], ranks=2)
         # v0: checks 1 -> miss (1 edge). v1: checks 0 (miss), 2 (hit) -> 2.
         # v3: checks 2 (hit) -> 1. v4: 3, 5 -> 2 misses. v5: 4 -> 1 miss.
         assert res.examined_edges == 1 + 2 + 1 + 2 + 1
+        # Rank 0 owns 0..2, rank 1 owns 3..5.
+        assert res.rank_examined.tolist() == [1 + 2, 1 + 2 + 1]
+        assert res.rank_candidates.tolist() == [2, 3]
+        assert res.rank_degree.tolist() == [2, 2]
         assert res.inqueue_reads == res.examined_edges  # no summary
 
     def test_summary_reduces_inqueue_reads(self):
         # Frontier block is bits 0..63; all of path fits in one block, so
         # use a bigger graph for a meaningful filter.
         g = path_graph(256)
-        part = Partition1D(256, 1)
-        st = RankState(part.extract_local(g, 0))
-        st.discover(np.array([100]), np.array([100]))
-        inq = Bitmap.from_indices(256, np.array([100]))
-        summary = SummaryBitmap.build(inq, 64)
-        res = bottomup.scan(st, inq, summary)
-        st2 = RankState(part.extract_local(g, 0))
-        st2.discover(np.array([100]), np.array([100]))
-        res_nosum = bottomup.scan(st2, inq, None)
+        res, _ = bottom_up(g, [100], [100], granularity=64)
+        res_nosum, _ = bottom_up(g, [100], [100])
         assert res.examined_edges > 0
         assert res.inqueue_reads < res.examined_edges
         # The summary never changes what is discovered or examined.
         assert res.examined_edges == res_nosum.examined_edges
 
     def test_scan_without_candidates(self):
-        st, part = self.st, self.part
-        st.discover(np.arange(6)[st.parent < 0], np.zeros(5, dtype=np.int64))
-        res = bottomup.scan(st, self.inq, None)
+        res, _ = bottom_up(self.g, np.arange(6), [2])
         assert res.candidates == 0
-        assert res.new_local.size == 0
+        assert res.vertices.size == 0
 
     def test_empty_frontier_discovers_nothing(self):
-        res = bottomup.scan(self.st, Bitmap(6), None)
-        assert res.new_local.size == 0
+        res, parent = bottom_up(self.g, [2], [])
+        assert res.vertices.size == 0
         # Every unvisited vertex scanned its whole adjacency.
-        assert res.examined_edges == self.st.degrees[self.st.parent < 0].sum()
+        assert res.examined_edges == self.g.degrees()[parent < 0].sum()
 
 
 class TestDirectionPolicy:

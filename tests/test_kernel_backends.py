@@ -22,7 +22,6 @@ from repro.core.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.core.state import RankState
 from repro.errors import ConfigError
 from repro.graph import (
     Partition1D,
@@ -54,28 +53,35 @@ if CNATIVE_AVAILABLE:
 VARIANTS = sorted(k for k in BACKENDS if k != "reference")
 
 
-def scan_outcome(graph, backend, visited, frontier, granularity):
-    """Run one bottom-up scan from a reproducible state; return all
-    accounting plus the post-scan parent array."""
-    part = Partition1D(graph.num_vertices, 1)
-    state = RankState(part.extract_local(graph, 0))
+def visited_parent(graph, visited):
+    """A global parent array with ``visited`` discovered (parent=self is
+    fine for setup)."""
+    parent = np.full(graph.num_vertices, -1, dtype=np.int64)
     visited = np.asarray(visited, dtype=np.int64)
-    if visited.size:
-        state.discover(visited, visited)  # parent=self is fine for setup
+    parent[visited] = visited
+    return parent
+
+
+def scan_outcome(graph, backend, visited, frontier, granularity):
+    """Run one bottom-up scan over three ranks from a reproducible
+    state; return all per-rank accounting plus the post-scan parent
+    array."""
+    bounds = Partition1D(graph.num_vertices, 3).bounds
+    parent = visited_parent(graph, visited)
     in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
     summary = (
         SummaryBitmap.build(in_queue, granularity) if granularity else None
     )
-    out = backend.bottom_up_scan(state, in_queue, summary)
+    out = backend.bottom_up_scan(graph, bounds, parent, in_queue, summary)
     return {
-        "new_local": out.new_local.tolist(),
-        "candidates": out.candidates,
-        "examined_edges": out.examined_edges,
-        "inqueue_reads": out.inqueue_reads,
-        "parent": state.parent.tolist(),
+        "vertices": out.vertices.tolist(),
+        "candidates": out.rank_candidates.tolist(),
+        "examined_edges": out.rank_examined.tolist(),
+        "inqueue_reads": out.rank_inqueue_reads.tolist(),
+        "parent": parent.tolist(),
         # The hybrid policy's m_u must stay in sync no matter how a
-        # backend applies discoveries (cnative updates state in C).
-        "unexplored_degree": state.unexplored_degree,
+        # backend applies discoveries (cnative sums them in C).
+        "rank_degree": out.rank_degree.tolist(),
     }
 
 
@@ -159,11 +165,11 @@ class TestScanEquivalence:
         frontier = visited
 
         def gathered(backend):
-            part = Partition1D(n, 1)
-            state = RankState(part.extract_local(graph, 0))
-            state.discover(visited, visited)
             inq = Bitmap.from_indices(n, frontier)
-            return backend.bottom_up_scan(state, inq, None)
+            return backend.bottom_up_scan(
+                graph, np.array([0, n]), visited_parent(graph, visited),
+                inq, None,
+            )
 
         ref = gathered(BACKENDS["reference"])
         act = gathered(BACKENDS["activeset"])
@@ -262,10 +268,11 @@ class TestRegistryAndResolution:
 
     def test_scan_wrapper_uses_process_default(self, monkeypatch):
         graph = path_graph(6)
-        part = Partition1D(6, 1)
-        state = RankState(part.extract_local(graph, 0))
-        state.discover(np.array([2]), np.array([2]))
+        parent = visited_parent(graph, [2])
         monkeypatch.setenv("REPRO_KERNEL", "reference")
-        out = bottomup.scan(state, Bitmap.from_indices(6, np.array([2])), None)
+        out = bottomup.scan(
+            graph, np.array([0, 6]), parent,
+            Bitmap.from_indices(6, np.array([2])), None,
+        )
         assert out.chunk_rounds == 1  # reference: one full pass
-        assert sorted(out.new_local.tolist()) == [1, 3]
+        assert out.vertices.tolist() == [1, 3]

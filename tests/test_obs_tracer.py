@@ -196,15 +196,15 @@ class TestEngineTelemetry:
         spans = traced.telemetry.spans
         scans = [s for s in spans if s.name == "bu.scan"]
         expands = [s for s in spans if s.name == "td.expand"]
-        num_ranks = traced.counts.num_ranks
-        bu_levels = sum(
-            1 for lc in traced.counts.levels if lc.direction == "bottom_up"
-        )
-        td_levels = traced.levels - bu_levels
-        assert len(scans) == bu_levels * num_ranks
-        # The top-down step expands every rank in one pass.
+        bu = [lc for lc in traced.counts.levels if lc.direction == "bottom_up"]
+        td_levels = traced.levels - len(bu)
+        # Both steps cover every rank in one call per level; the scan's
+        # attributes are the level's totals over the ranks.
+        assert len(scans) == len(bu)
         assert len(expands) == td_levels
-        assert all("examined_edges" in s.attrs for s in scans)
+        assert [s.attrs["examined_edges"] for s in scans] == [
+            int(lc.examined_edges.sum()) for lc in bu
+        ]
 
     def test_direction_markers(self, traced):
         markers = [

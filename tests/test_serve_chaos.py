@@ -164,6 +164,28 @@ class TestServePlans:
             assert plan.serve, name
 
 
+def scenario_failure(entry):
+    """Why a scenario did not recover: its outcome, failing checks,
+    query outcomes, fault events and the SLO windows at both
+    evaluations (or the error of an aborted run)."""
+    if "error" in entry:
+        return f"outcome={entry['outcome']!r} error={entry['error']}"
+    failing = sorted(k for k, ok in entry["checks"].items() if not ok)
+    windows = {
+        o["label"]: {
+            name: (w["events"], w["bad_fraction"], w["burning"])
+            for name, w in o["windows"].items()
+        }
+        for o in entry["slo_after"]["objectives"]
+    }
+    return (
+        f"outcome={entry['outcome']!r} failing checks={failing} "
+        f"queries={entry['queries']} events={entry['events']} "
+        f"slo_during={entry['slo_during']} "
+        f"slo_after (events, bad fraction, burning)={windows}"
+    )
+
+
 @pytest.fixture(scope="module")
 def mixed_report():
     """One small campaign shared by the recovery/record/CLI tests."""
@@ -174,8 +196,8 @@ class TestServeCampaign:
     def test_mixed_scenario_recovers(self, mixed_report):
         assert mixed_report["schema"] == "repro.chaos/v1"
         assert mixed_report["mode"] == "serve"
-        assert mixed_report["ok"] is True
         (entry,) = mixed_report["scenarios"]
+        assert mixed_report["ok"] is True, scenario_failure(entry)
         assert entry["outcome"] == "recovered"
         checks = entry["checks"]
         assert checks["all_queries_terminal"]

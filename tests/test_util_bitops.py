@@ -111,3 +111,45 @@ def test_property_pack_unpack(flags):
     w = bitops.bool_to_bits(flags)
     assert np.array_equal(bitops.bits_to_bool(w, flags.size), flags)
     assert bitops.count_set_bits(w) == int(flags.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nbits=st.integers(min_value=1, max_value=700),
+    data=st.data(),
+)
+def test_property_set_bits_matches_scatter_or(nbits, data):
+    # set_bits against the per-index np.bitwise_or.at formulation, on
+    # bitmaps that already hold bits: empty, sparse (the per-index path)
+    # and dense (the packed path) index sets, duplicates included, and
+    # ragged nbits (not a multiple of 64).
+    idx = np.array(
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=nbits - 1),
+                max_size=3 * nbits,
+            )
+        ),
+        dtype=np.int64,
+    )
+    preset = np.array(
+        data.draw(st.lists(st.integers(0, nbits - 1), max_size=20)),
+        dtype=np.int64,
+    )
+    got = make_words(nbits)
+    got[preset >> 6] |= np.uint64(1) << (preset & 63).astype(np.uint64)
+    expected = got.copy()
+    np.bitwise_or.at(
+        expected, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64)
+    )
+    bitops.set_bits(got, idx)
+    assert np.array_equal(got, expected)
+
+
+def test_set_bits_dense_path_keeps_set_bits():
+    w = make_words(130)
+    bitops.set_bits(w, np.array([129]))
+    bitops.set_bits(w, np.repeat(np.arange(0, 130, 2), 2))
+    assert bitops.nonzero_bit_indices(w, 130).tolist() == (
+        list(range(0, 130, 2)) + [129]
+    )
